@@ -14,7 +14,7 @@
 #include "common/table_printer.h"
 #include "edbms/sdb_qpf.h"
 #include "edbms/service_provider.h"
-#include "prkb/qfilter.h"
+#include "prkb/probe_sched.h"
 #include "prkb/qscan.h"
 #include "workload/query_gen.h"
 #include "workload/synthetic_table.h"
@@ -78,7 +78,8 @@ int Main(int argc, char** argv) {
       const auto p = gen.RandomComparison(0);
       const Trapdoor td = db.MakeComparison(p.attr, p.op, p.lo);
       const uint64_t before = db.uses();
-      core::QFilter(index.pop(0), td, &db, &rng);
+      core::QFilter(index.pop(0), td, &db, &rng,
+                    core::kBinarySearchSched);
       binary_cost.Add(static_cast<double>(db.uses() - before));
       linear_cost.Add(
           static_cast<double>(LinearFilterCost(index.pop(0), td, &db, &rng)));
@@ -104,7 +105,8 @@ int Main(int argc, char** argv) {
     for (int i = 0; i < 50; ++i) {
       const auto p = gen.RandomComparison(0);
       const Trapdoor td = db.MakeComparison(p.attr, p.op, p.lo);
-      const auto filter = core::QFilter(index.pop(0), td, &db, &rng);
+      const auto filter = core::QFilter(index.pop(0), td, &db, &rng,
+                                        core::kBinarySearchSched);
       uint64_t before = db.uses();
       core::QScan(index.pop(0), filter, td, &db);
       early.Add(static_cast<double>(db.uses() - before));

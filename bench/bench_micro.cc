@@ -8,7 +8,7 @@
 #include "crypto/aes128.h"
 #include "crypto/hmac.h"
 #include "edbms/cipherbase_qpf.h"
-#include "prkb/qfilter.h"
+#include "prkb/probe_sched.h"
 #include "prkb/selection.h"
 #include "workload/query_gen.h"
 #include "workload/synthetic_table.h"
@@ -104,7 +104,8 @@ void BM_QFilterOnWarmChain(benchmark::State& state) {
   for (auto _ : state) {
     const auto p = s->gen.RandomComparison(0);
     const auto td = s->db.MakeComparison(p.attr, p.op, p.lo);
-    benchmark::DoNotOptimize(core::QFilter(s->index.pop(0), td, &s->db, &rng));
+    benchmark::DoNotOptimize(core::QFilter(s->index.pop(0), td, &s->db, &rng,
+                                           core::kBinarySearchSched));
   }
 }
 BENCHMARK(BM_QFilterOnWarmChain);

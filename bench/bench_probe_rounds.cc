@@ -1,9 +1,9 @@
 // Probe-scheduler benchmark: cold-chain selections (fingerprint-cache
 // misses on a warmed POP chain) swept over scheduler fanout m ∈ {2,4,8,16}
 // × simulated trusted-machine round-trip latency ∈ {0, 100µs, 1ms}. The
-// m = 2 row runs the paper-literal sequential search (one blocking Eval per
-// probe); the others run the m-ary batched scheduler with fusion and
-// speculation on.
+// m = 2 row runs the scheduler as the paper's binary search (one midpoint
+// probe per round, no fusion, no speculation); the others run it m-ary with
+// fusion and speculation on.
 //
 // The point the numbers make: QPF uses rise by the predicted ≤ (m−1)/lg m
 // factor while round trips collapse from ~lg k to ~log_m k per filter, so
@@ -145,14 +145,11 @@ int Run(int argc, char** argv) {
       core::PrkbOptions opts;
       opts.seed = args.seed;
       opts.batch_size = 4096;
+      opts.probe_fanout = m;
       if (m == 2) {
-        // Paper-literal control: every probe its own blocking round trip.
-        opts.probe_fanout = 2;
+        // Paper-literal control: one midpoint probe per round.
         opts.probe_fusion = false;
         opts.speculative_scan = false;
-        opts.sequential_probes = true;
-      } else {
-        opts.probe_fanout = m;
       }
 
       auto db = CipherbaseEdbms::FromPlainTable(args.seed, plain);
@@ -247,7 +244,6 @@ int Run(int argc, char** argv) {
       json.BeginRow();
       json.Field("tmlat_ns", lat);
       json.Field("fanout", static_cast<uint64_t>(m));
-      json.Field("sequential", static_cast<uint64_t>(m == 2 ? 1 : 0));
       json.Field("millis", millis);
       json.Field("qpf_uses", uses);
       json.Field("round_trips", trips);

@@ -53,7 +53,7 @@ struct CostConstants {
   /// m of the batched probe scheduler (DESIGN.md §11): each search round
   /// ships m−1 pivots in one trip, so probe bounds inflate to
   /// overhead + (m−1)·⌈log_m k⌉ while filter trips shrink to
-  /// 1 + ⌈log_m k⌉. 2 reproduces the paper's sequential binary-search
+  /// 1 + ⌈log_m k⌉. 2 reproduces the paper's binary-search
   /// formulas exactly.
   double probe_fanout = 2.0;
   /// Tuples per scan-path QPF round trip (PrkbOptions::batch_size).

@@ -104,11 +104,8 @@ void MarkZeroCost(PlanNode* node, bool cache_hit = false) {
 CostConstants ConstantsFor(const core::PrkbOptions& options,
                            size_t probe_fanout_override) {
   CostConstants c = CostConstants::Defaults();
-  size_t m = probe_fanout_override != 0 ? probe_fanout_override
-                                        : options.probe_fanout;
-  // The sequential-probes ablation runs the paper's binary search, which the
-  // m = 2 formulas price exactly.
-  if (options.sequential_probes && probe_fanout_override == 0) m = 2;
+  const size_t m = probe_fanout_override != 0 ? probe_fanout_override
+                                              : options.probe_fanout;
   c.probe_fanout = static_cast<double>(m < 2 ? 2 : m);
   c.scan_batch =
       static_cast<double>(options.batch_size < 1 ? 1 : options.batch_size);
@@ -149,10 +146,7 @@ std::vector<TupleId> Executor::RunComparison(
   const NodeCost probe_cost(index_->db());
   core::PrepaidScan prepaid;
   const core::QFilterResult filter =
-      index_->options().sequential_probes
-          ? core::QFilter(pop, td, index_->db(), &rng)
-          : core::ScheduledQFilter(pop, td, index_->db(), &rng, sopt,
-                                   &prepaid);
+      core::QFilter(pop, td, index_->db(), &rng, sopt, &prepaid);
   // Speculative prefetches ride the filter's final round, so their uses land
   // on the probe node; QScan consumes them instead of re-paying.
   probe_cost.Commit(node->Child(PlanOp::kQFilterProbe));

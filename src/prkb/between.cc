@@ -3,9 +3,10 @@
 // A BETWEEN trapdoor returns 1 exactly on a contiguous band of the chain:
 // the T-containing positions form one interval [ta, tb], and only its two
 // end partitions can be non-homogeneous. Processing mirrors QFilter/QScan:
-// probe partition samples until a positive anchor is found, binary-search
-// both ends, scan (at most four) candidate end partitions, and infer the
-// pure-T middle for free. Each splittable end extends the PRKB with one cut;
+// probe partition samples until a positive anchor is found, search both
+// ends with the probe scheduler's FlipSearch (a binary search at m = 2),
+// scan (at most four) candidate end partitions, and infer the pure-T middle
+// for free. Each splittable end extends the PRKB with one cut;
 // when both ends split, the two cuts are linked as siblings so the trapdoor
 // can steer future insertions three-ways.
 //
@@ -31,7 +32,7 @@ using edbms::Trapdoor;
 using edbms::TupleId;
 
 /// BETWEEN telemetry: probes are the Appendix-A anchor hunt plus the two
-/// end binary searches; end-partition scans are additionally counted by the
+/// end searches; end-partition scans are additionally counted by the
 /// shared qscan.* scan metrics (docs/OBSERVABILITY.md).
 struct BetweenMetrics {
   obs::Counter* invocations;
@@ -69,7 +70,6 @@ std::vector<TupleId> PrkbIndex::SelectBetween(const Trapdoor& td,
   const BetweenMetrics& metrics = BetweenMetrics::Get();
   metrics.invocations->Add(1);
   Rng rng = OpRng();
-  const bool sequential = options_.sequential_probes;
   const uint64_t trips_before = db_->round_trips();
 
   // Cached sample labels per chain position (-1 unknown). A position probed
@@ -77,16 +77,8 @@ std::vector<TupleId> PrkbIndex::SelectBetween(const Trapdoor& td,
   // absorbed for free.
   std::vector<int8_t> sample(k, -1);
   ProbeRound probe_round(db_);
-  auto probe = [&](size_t pos) -> bool {
-    if (sample[pos] < 0) {
-      metrics.probes->Add(1);
-      sample[pos] =
-          db_->Eval(td, SamplePartition(pop, pos, &rng)) ? 1 : 0;
-    }
-    return sample[pos] == 1;
-  };
-  // Batched counterpart: resolves every unknown position of `want` in one
-  // round trip. Samples are drawn at enqueue time in `want` order.
+  // Resolves every unknown position of `want` in one round trip. Samples are
+  // drawn at enqueue time in `want` order.
   auto ensure = [&](std::span<const size_t> want) {
     std::vector<std::pair<size_t, size_t>> lanes;  // (pos, lane)
     for (size_t pos : want) {
@@ -107,27 +99,18 @@ std::vector<TupleId> PrkbIndex::SelectBetween(const Trapdoor& td,
   };
 
   // ---- Phase 1: hunt for a positive anchor among partition samples. ----
-  // The batched hunt probes m−1 positions per round; the anchor is still the
-  // first positive in shuffle order, the overshoot stays cached.
+  // Each round probes the next m−1 positions of a random order; the anchor
+  // is the first positive in that order, the overshoot stays cached.
   std::vector<size_t> order(k);
   for (size_t i = 0; i < k; ++i) order[i] = i;
   rng.Shuffle(&order);
   size_t anchor = k;  // k = not found
-  if (sequential) {
-    for (size_t pos : order) {
-      if (probe(pos)) {
-        anchor = pos;
-        break;
-      }
-    }
-  } else {
-    const size_t chunk = sched.fanout < 2 ? 1 : sched.fanout - 1;
-    for (size_t i = 0; i < k && anchor == k; i += chunk) {
-      const size_t end = std::min(k, i + chunk);
-      ensure(std::span<const size_t>(order).subspan(i, end - i));
-      for (size_t j = i; j < end && anchor == k; ++j) {
-        if (sample[order[j]] == 1) anchor = order[j];
-      }
+  const size_t chunk = sched.fanout < 2 ? 1 : sched.fanout - 1;
+  for (size_t i = 0; i < k && anchor == k; i += chunk) {
+    const size_t end = std::min(k, i + chunk);
+    ensure(std::span<const size_t>(order).subspan(i, end - i));
+    for (size_t j = i; j < end && anchor == k; ++j) {
+      if (sample[order[j]] == 1) anchor = order[j];
     }
   }
 
@@ -139,57 +122,12 @@ std::vector<TupleId> PrkbIndex::SelectBetween(const Trapdoor& td,
     // Exceptional fallback: no positive sample anywhere. The band may still
     // hide inside partitions whose sample came back 0 — scan everything.
     for (size_t p = 0; p < k; ++p) scan_positions.push_back(p);
-  } else if (sequential) {
-    // ---- Phase 2 (paper-literal): binary search both ends of the T band,
-    // one blocking probe at a time. Low end: smallest position whose
-    // partition contains a T is in {a, a+1} where label(a)=F, label(a+1)=T
-    // (or {0} if position 0 is T).
-    size_t low_hi;  // positive side of the low search
-    if (probe(0)) {
-      scan_positions.push_back(0);
-      low_hi = 0;
-    } else {
-      size_t lo = 0, hi = anchor;  // label(lo)=F, label(hi)=T
-      while (hi - lo > 1) {
-        const size_t m = (lo + hi) / 2;
-        if (probe(m)) {
-          hi = m;
-        } else {
-          lo = m;
-        }
-      }
-      scan_positions.push_back(lo);
-      scan_positions.push_back(hi);
-      low_hi = hi;
-    }
-
-    size_t high_lo;  // positive side of the high search
-    if (probe(k - 1)) {
-      scan_positions.push_back(k - 1);
-      high_lo = k - 1;
-    } else {
-      size_t lo = anchor, hi = k - 1;  // label(lo)=T, label(hi)=F
-      while (hi - lo > 1) {
-        const size_t m = (lo + hi) / 2;
-        if (probe(m)) {
-          lo = m;
-        } else {
-          hi = m;
-        }
-      }
-      scan_positions.push_back(lo);
-      scan_positions.push_back(hi);
-      high_lo = lo;
-    }
-
-    // Positions strictly between the scanned ends are pure T (they are
-    // strictly inside [ta, tb]).
-    middle_begin = low_hi + 1;
-    middle_end = high_lo;  // exclusive
   } else {
-    // ---- Phase 2 (scheduled): both chain ends share one round, then the
-    // two end FlipSearches run m-ary — fused into common rounds when
-    // sched.fuse is set, back-to-back otherwise. Same band, same scan set.
+    // ---- Phase 2: locate both ends of the T band. Both chain ends share
+    // one round, then the two end FlipSearches run m-ary — fused into
+    // common rounds when sched.fuse is set, back-to-back otherwise. The low
+    // end's NS pair is {a, a+1} with label(a)=F, label(a+1)=T (or {0} if
+    // position 0 is T); the high end mirrors it.
     {
       const size_t ends[2] = {0, k - 1};
       ensure(std::span<const size_t>(ends, k > 1 ? 2 : 1));
@@ -243,6 +181,8 @@ std::vector<TupleId> PrkbIndex::SelectBetween(const Trapdoor& td,
       scan_positions.push_back(high->b());
       high_lo = high->a();
     }
+    // Positions strictly between the scanned ends are pure T (they are
+    // strictly inside [ta, tb]).
     middle_begin = low_hi + 1;
     middle_end = high_lo;  // exclusive
   }

@@ -186,13 +186,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
     filtered.push_back(i);
     filter_reqs.push_back(FusedFilterReq{pc.pop, tds[i], &pc.filter});
   }
-  if (options_.sequential_probes) {
-    for (const FusedFilterReq& req : filter_reqs) {
-      *req.out = QFilter(*req.pop, *req.td, db_, &rng);
-    }
-  } else {
-    FusedQFilters(filter_reqs, db_, &rng, sched);
-  }
+  FusedQFilters(filter_reqs, db_, &rng, sched);
   for (size_t i : filtered) {
     PredCtx& pc = preds[i];
     const size_t k = pc.pop->k();

@@ -32,8 +32,9 @@ struct ProbeSchedMetrics {
   }
 };
 
-/// Same registry instruments qfilter.cc records, plus the round-trip pair
-/// the m-ary bound is checked against (rounds_per_call ≤ 2 + ⌈log_m k⌉).
+/// QFilter telemetry: probe count is the measured side of the paper's
+/// 2 + ⌈lg k⌉ sample bound, the round pair its m-ary trip bound
+/// (rounds_per_call ≤ 2 + ⌈log_m k⌉; docs/COST_MODEL.md).
 struct QFilterMetrics {
   obs::Counter* invocations;
   obs::Counter* probes;
@@ -87,7 +88,7 @@ void ProbeRound::Ship() {
   if (mixed) m.fused->Add(1);
   if (reqs_.size() == 1) {
     // A lone probe stays a scalar oracle call: one use, one round trip —
-    // identical accounting to the paper's sequential loop.
+    // the paper's per-probe accounting.
     results_ = BitVector(1);
     results_.Assign(0, qpf_->Eval(*reqs_[0].td, reqs_[0].tid));
     ++trips_;
@@ -315,10 +316,9 @@ void RunEngines(std::vector<QFilterEngine>& engines, edbms::QpfOracle* qpf,
 
 }  // namespace
 
-QFilterResult ScheduledQFilter(const Pop& pop, const edbms::Trapdoor& td,
-                               edbms::QpfOracle* qpf, Rng* rng,
-                               const ProbeSchedOptions& opts,
-                               PrepaidScan* prepaid) {
+QFilterResult QFilter(const Pop& pop, const edbms::Trapdoor& td,
+                      edbms::QpfOracle* qpf, Rng* rng,
+                      const ProbeSchedOptions& opts, PrepaidScan* prepaid) {
   const obs::ObsTracer::Span span("qfilter.mary_search");
   std::vector<QFilterEngine> engines;
   engines.emplace_back(&pop, &td, rng, &opts, prepaid);

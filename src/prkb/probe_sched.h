@@ -33,6 +33,13 @@ struct ProbeSchedOptions {
   size_t spec_chunk = 1;
 };
 
+/// The paper's binary search (Sec. 5.1) as a schedule: one midpoint pivot
+/// per round, no fusion, no speculation. Paper-literal controls run this;
+/// it spends the same QPF uses on the same samples as Algorithm 1, and only
+/// the two end probes sharing one round save a trip.
+inline constexpr ProbeSchedOptions kBinarySearchSched{
+    .fanout = 2, .fuse = false, .speculative = false};
+
 /// Speculatively prefetched Θ outcomes for the leading members of candidate
 /// NS partitions, keyed by chain position at QFilter time (QScan runs before
 /// any split, so positions are stable). QScan consumes matching prefixes;
@@ -132,15 +139,17 @@ class FlipSearch {
   size_t fanout_;
 };
 
-/// Scheduler-backed QFilter: same contract and result as QFilter() — the
-/// paper's Algorithm 1 semantics, byte-identical NS pair and winner group —
-/// but probing in m-ary batched rounds. With `prepaid` non-null and
-/// speculation enabled, the final disambiguation round also carries the
-/// first QScan chunk of the candidate NS partitions.
-QFilterResult ScheduledQFilter(const Pop& pop, const edbms::Trapdoor& td,
-                               edbms::QpfOracle* qpf, Rng* rng,
-                               const ProbeSchedOptions& opts,
-                               PrepaidScan* prepaid = nullptr);
+/// QFilter (Sec. 5.1): locates the NS pair by exploiting Lemma 5.1 and
+/// derives the Winner group for free, probing in m-ary batched rounds — an
+/// ends round, then ≤ ⌈log_m k⌉ FlipSearch rounds (≈ 2 + lg k sampled QPF
+/// calls at m = 2). With `prepaid` non-null and speculation enabled, the
+/// final disambiguation round also carries the first QScan chunk of the
+/// candidate NS partitions. Requires pop.k() >= 1 and every partition
+/// non-empty.
+QFilterResult QFilter(const Pop& pop, const edbms::Trapdoor& td,
+                      edbms::QpfOracle* qpf, Rng* rng,
+                      const ProbeSchedOptions& opts,
+                      PrepaidScan* prepaid = nullptr);
 
 /// One dimension of a fused multi-filter request.
 struct FusedFilterReq {

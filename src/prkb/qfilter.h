@@ -9,8 +9,9 @@
 
 namespace prkb::core {
 
-/// Outcome of QFilter (Algorithm 1): the Not-Sure pair plus the Winner group,
-/// described as chain-position ranges so no tuple lists are materialised.
+/// Outcome of QFilter (Algorithm 1; the search itself runs in
+/// prkb/probe_sched.h): the Not-Sure pair plus the Winner group, described
+/// as chain-position ranges so no tuple lists are materialised.
 struct QFilterResult {
   /// True when Θ agreed on the samples of P₁ and Pₖ (line 3): the separating
   /// point is at one of the chain ends.
@@ -33,12 +34,6 @@ struct QFilterResult {
 
   bool HasWinners() const { return win_begin < win_end; }
 };
-
-/// QFilter (Sec. 5.1): locates the NS pair with ≈ 2 + lg k sampled QPF calls
-/// by exploiting Lemma 5.1, and derives the Winner group for free.
-/// Requires pop.k() >= 1 and every partition non-empty.
-QFilterResult QFilter(const Pop& pop, const edbms::Trapdoor& td,
-                      edbms::QpfOracle* qpf, Rng* rng);
 
 /// Draws the random sample tuple QFilter probes from a partition
 /// ("Pᵢ.sample" in the paper).

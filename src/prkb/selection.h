@@ -57,10 +57,6 @@ struct PrkbOptions {
   /// Let the first QScan chunk of the candidate NS partitions ride in the
   /// final QFilter round once the surviving interval is ≤ 2 partitions.
   bool speculative_scan = true;
-  /// Ablation / paper-literal mode: bypass the scheduler entirely and issue
-  /// every probe as its own blocking scalar round trip (the pre-scheduler
-  /// sequential binary search). Overrides the three knobs above.
-  bool sequential_probes = false;
   /// Planner hint: expected per-round-trip transport latency, in ns. 0
   /// keeps the paper's pure QPF-use costing; > 0 makes the planner price
   /// routes as round_trips × latency + evals × unit_cost and pick m.

@@ -229,39 +229,15 @@ void PrkbIndex::PlaceTuple(edbms::AttrId attr, TupleId tid) {
 
   // Greedy search, batched: each round picks up to m−1 cuts and evaluates
   // them in one QPF round trip, cutting the ~⌈lg k⌉ serial trips of
-  // Sec. 7.1 to ~⌈log_m k⌉. m = 2 (and the sequential-probes ablation)
-  // reproduce the paper's one-cut-per-trip binary placement exactly.
-  const bool sequential = options_.sequential_probes;
-  const size_t fanout =
-      sequential ? 2 : (options_.probe_fanout < 2 ? 2 : options_.probe_fanout);
-  const size_t npicks = sequential ? 1 : fanout - 1;
+  // Sec. 7.1 to ~⌈log_m k⌉. m = 2 reproduces the paper's one-cut-per-trip
+  // binary placement exactly (a lone lane ships as a scalar Eval).
+  const size_t fanout = options_.probe_fanout < 2 ? 2 : options_.probe_fanout;
+  const size_t npicks = fanout - 1;
   ProbeRound probe_round(db_);
   std::vector<const CutRegion*> picks;
   while (Total(cand) > 1) {
     geo.ComputePicks(cand, fanout, npicks, &picks);
     if (picks.empty()) break;  // no cut can narrow further
-
-    if (sequential) {
-      // Paper-literal placement: one cut, one blocking scalar round trip.
-      const CutRegion* best = picks[0];
-      bool output;
-      if (const auto it = memo.find(best->cut->fp);
-          options_.fast_path && it != memo.end()) {
-        UpdateMetrics::Get().memo_hits->Add(1);
-        output = it->second;
-      } else {
-        UpdateMetrics::Get().evals->Add(1);
-        output = db_->Eval(best->cut->trapdoor, tid);
-        memo.emplace(best->cut->fp, output);
-      }
-      if (output == best->label_for_region) {
-        cand = Clip(cand, best->region_b, best->region_e);
-      } else {
-        cand = ClipComplement(cand, best->region_b, best->region_e, k);
-      }
-      assert(!cand.empty());
-      continue;
-    }
 
     // Batched round: resolve memoised cuts for free, dedupe the rest by
     // trapdoor fingerprint (sibling/fragmented cuts share one lane) and ship
@@ -324,10 +300,9 @@ void PrkbIndex::PlaceTuple(edbms::AttrId attr, TupleId tid) {
 void PrkbIndex::BatchPlace(edbms::AttrId attr,
                            const std::vector<TupleId>& tids) {
   if (tids.empty()) return;
-  if (tids.size() == 1 || options_.sequential_probes) {
-    // Lock-step buys nothing for one tuple, and the sequential-probes
-    // ablation wants one blocking trip per probe anyway.
-    for (TupleId tid : tids) PlaceTuple(attr, tid);
+  if (tids.size() == 1) {
+    // Lock-step buys nothing for one tuple.
+    PlaceTuple(attr, tids[0]);
     return;
   }
   const obs::ObsTracer::Span span("update.batch_place");

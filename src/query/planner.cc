@@ -143,9 +143,8 @@ bool CollapseGroup(const AttrGroup& group, CollapsedPred* out) {
 /// route. Reading the calibrator (not the static hint) is what lets a
 /// mid-run latency shift open or close the fanout search without a restart.
 std::vector<size_t> CandidateFanouts(const core::PrkbIndex& index) {
-  if (index.options().sequential_probes ||
-      index.calibrator().rt_latency_ns() <
-          exec::CostCalibrator::kCalibratedFanoutFloorNs) {
+  if (index.calibrator().rt_latency_ns() <
+      exec::CostCalibrator::kCalibratedFanoutFloorNs) {
     return {0};
   }
   return {2, 4, 8, 16};

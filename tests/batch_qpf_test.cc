@@ -12,6 +12,7 @@
 #include "edbms/sdb_qpf.h"
 #include "edbms/service_provider.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "prkb/selection.h"
 #include "tests/test_util.h"
 #include "workload/query_gen.h"
@@ -151,18 +152,23 @@ void RunDifferentialWorkload(size_t batch_size, size_t workers) {
   // plaintext oracle stays the ground truth for the whole run.
   PlainTable plain = RandomTable(500, 2, &data_rng, 0, 2000);
 
-  // Probes stay sequential on both sides: this suite pins the *scan* batch
-  // pipeline against the scalar model, and the probe scheduler (a separate
-  // axis, differential-tested in probe_sched_test.cc) would otherwise add
-  // batch-size-dependent speculative prefetches to the QPF spend.
-  PrkbOptions scalar_opts;
-  scalar_opts.sequential_probes = true;
-  PrkbOptions batched_opts;
-  batched_opts.sequential_probes = true;
+  // Both sides run the m = 2 control: this suite pins the *scan* batch
+  // pipeline against the scalar model, and the default probe schedule (a
+  // separate axis, differential-tested in probe_sched_test.cc) would
+  // otherwise add batch-size-dependent speculative prefetches to the QPF
+  // spend.
+  const PrkbOptions scalar_opts = testutil::FanoutTwoControl();
+  PrkbOptions batched_opts = testutil::FanoutTwoControl();
   batched_opts.batch_size = batch_size;
   batched_opts.scan_workers = workers;
   Workbench ref(plain, scalar_opts);
   Workbench bat(plain, batched_opts);
+  obs::Counter* probe_requests =
+      obs::MetricsRegistry::Global().GetCounter("probe_sched.requests");
+  obs::Counter* probe_rounds =
+      obs::MetricsRegistry::Global().GetCounter("probe_sched.rounds");
+  const uint64_t requests0 = probe_requests->value();
+  const uint64_t rounds0 = probe_rounds->value();
 
   workload::QueryGen gen(0, 2000, 77);
   Rng op_rng(99);
@@ -219,9 +225,17 @@ void RunDifferentialWorkload(size_t batch_size, size_t workers) {
   EXPECT_EQ(ref.db.uses(), bat.db.uses());
   EXPECT_EQ(ChainShape(ref.index.pop(0)), ChainShape(bat.index.pop(0)));
   if (batch_size == 1 && workers == 1) {
-    // batch_size = 1 must *be* the legacy path: not a single batch call.
-    EXPECT_EQ(bat.db.batches(), 0u);
-    EXPECT_EQ(bat.db.round_trips(), bat.db.uses());
+    // batch_size = 1 must *be* the scalar scan path: every scan evaluation
+    // pays its own round trip. The only trips carrying several evaluations
+    // are the probe scheduler's multi-lane rounds (each search's ends
+    // round), so across both instances the evaluations that shared a trip
+    // are exactly the scheduler's extra lanes.
+    const uint64_t shared_lanes = (probe_requests->value() - requests0) -
+                                  (probe_rounds->value() - rounds0);
+    EXPECT_EQ((ref.db.uses() - ref.db.round_trips()) +
+                  (bat.db.uses() - bat.db.round_trips()),
+              shared_lanes);
+    EXPECT_EQ(bat.db.round_trips(), ref.db.round_trips());
   }
 }
 

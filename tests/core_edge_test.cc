@@ -5,7 +5,7 @@
 
 #include "edbms/cipherbase_qpf.h"
 #include "gtest/gtest.h"
-#include "prkb/qfilter.h"
+#include "prkb/probe_sched.h"
 #include "prkb/qscan.h"
 #include "prkb/selection.h"
 #include "tests/test_util.h"
@@ -43,7 +43,7 @@ TEST(QFilterEdgeTest, BoundaryCaseWithFalseLabelHasNoWinners) {
 
   Rng rng(1);
   const auto td = db.MakeComparison(0, CompareOp::kGt, 100);
-  const auto f = QFilter(index.pop(0), td, &db, &rng);
+  const auto f = QFilter(index.pop(0), td, &db, &rng, kBinarySearchSched);
   EXPECT_TRUE(f.boundary_case);
   EXPECT_FALSE(f.label_first);
   EXPECT_FALSE(f.label_last);
@@ -62,7 +62,7 @@ TEST(QFilterEdgeTest, BoundaryCaseWithTrueLabelWinsTheMiddle) {
 
   Rng rng(1);
   const auto td = db.MakeComparison(0, CompareOp::kLt, 100);  // everything
-  const auto f = QFilter(index.pop(0), td, &db, &rng);
+  const auto f = QFilter(index.pop(0), td, &db, &rng, kBinarySearchSched);
   EXPECT_TRUE(f.boundary_case);
   EXPECT_TRUE(f.label_first);
   // Winners = all middle partitions, ends stay NS.
@@ -84,7 +84,7 @@ TEST(QFilterEdgeTest, RecursiveCaseWinnersFollowTheTrueSide) {
   // the sure-True positions and the NS pair adjacent.
   Rng rng(2);
   const auto td = db.MakeComparison(0, CompareOp::kGt, 35);
-  const auto f = QFilter(index.pop(0), td, &db, &rng);
+  const auto f = QFilter(index.pop(0), td, &db, &rng, kBinarySearchSched);
   EXPECT_FALSE(f.boundary_case);
   EXPECT_EQ(f.ns_b, f.ns_a + 1);
   // The cut is at an existing boundary: winner range + NS pair must cover
@@ -115,7 +115,7 @@ TEST(QScanEdgeTest, EarlyStopIncludesWholePartnerWhenTrue) {
       plain.at(0, pop.members_at(0).Select(0)) < plain.at(0, pop.members_at(1).Select(0));
   const auto td = db.MakeComparison(0, CompareOp::kGt, 15);  // {20,30,40}
   Rng rng(3);
-  const auto f = QFilter(pop, td, &db, &rng);
+  const auto f = QFilter(pop, td, &db, &rng, kBinarySearchSched);
   const auto s = QScan(pop, f, td, &db);
   EXPECT_EQ(Sorted(s.winners), (std::vector<TupleId>{1, 2, 3}));
   EXPECT_TRUE(s.split_found);

@@ -16,6 +16,7 @@
 #include "net/coalesce.h"
 #include "obs/metrics.h"
 #include "prkb/selection.h"
+#include "tests/test_util.h"
 #include "workload/query_gen.h"
 #include "workload/synthetic_table.h"
 
@@ -209,12 +210,11 @@ TEST(ObsIntegrationTest, ReusedSelectionStatsNeverKeepsStaleFields) {
   const auto plain = workload::MakeSyntheticTable(spec);
   auto db = edbms::CipherbaseEdbms::FromPlainTable(9, plain);
 
-  // Batched scan policy so the selection records qpf_batches > 0, with
-  // sequential probes so Insert's placement stays scalar — the assertions
-  // below pin the scalar path's batches==0 / trips==uses signature.
-  core::PrkbIndex index(&db, core::PrkbOptions{.seed = 43,
-                                               .batch_size = 256,
-                                               .sequential_probes = true});
+  // Batched scan policy so the selection records qpf_batches > 0, under the
+  // m = 2 control so Insert's placement ships one cut per round as a scalar
+  // Eval — the assertions below pin that batches==0 / trips==uses signature.
+  core::PrkbIndex index(&db, testutil::FanoutTwoControl(core::PrkbOptions{
+                                 .seed = 43, .batch_size = 256}));
   index.EnableAttr(0);
   workload::QueryGen gen(spec.domain_lo, spec.domain_hi, 47);
   for (int q = 0; q < 30; ++q) {  // grow a chain so selects batch-scan

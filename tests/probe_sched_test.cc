@@ -1,7 +1,8 @@
 // Differential tests for the batched probe scheduler (DESIGN.md §11): the
 // m-ary QFilter, probe fusion, and speculative QScan overlap must be pure
 // round-trip optimisations — same winner sets and same final POP chains as
-// the paper's sequential binary search, at every fanout. Also pins the
+// the m = 2 control (the paper's binary search) at every fanout, whose own
+// QPF spend is pinned to golden totals. Also pins the
 // scheduler's round bound, the fast-path short-circuit, and transcript
 // replay through the batched entry point.
 
@@ -9,6 +10,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/serial.h"
 #include "edbms/cipherbase_qpf.h"
 #include "edbms/replay.h"
 #include "gtest/gtest.h"
@@ -35,17 +37,6 @@ using testutil::Sorted;
 
 constexpr uint64_t kSeed = 0x5C4ED;
 
-/// The paper-literal control: scalar blocking probes, no fusion, no
-/// speculation. Everything the scheduler does is measured against this.
-PrkbOptions SequentialBaseline() {
-  PrkbOptions o;
-  o.probe_fanout = 2;
-  o.probe_fusion = false;
-  o.speculative_scan = false;
-  o.sequential_probes = true;
-  return o;
-}
-
 std::vector<std::vector<TupleId>> ChainShape(const Pop& pop) {
   std::vector<std::vector<TupleId>> shape;
   shape.reserve(pop.k());
@@ -67,9 +58,9 @@ struct Workbench {
 // ------------------------------------------------------------- FlipSearch
 
 TEST(FlipSearchTest, FanoutTwoPivotIsTheLegacyMidpoint) {
-  // The binary QFilter probes (a + b) / 2; FlipSearch at fanout 2 must
-  // propose exactly that position so m = 2 reproduces the paper's search
-  // probe-for-probe.
+  // The paper's binary QFilter probes (a + b) / 2; FlipSearch at fanout 2
+  // must propose exactly that position so m = 2 reproduces the paper's
+  // search probe-for-probe.
   for (size_t a = 0; a < 20; ++a) {
     for (size_t b = a + 2; b < 24; ++b) {
       FlipSearch search(a, b, true, 2);
@@ -116,14 +107,14 @@ TEST(FlipSearchTest, ConvergesToTheFlipWithinTheRoundBound) {
 // --------------------------------------------------- full-index differential
 
 /// Drives the same mixed workload (comparisons, BETWEENs, inserts, deletes)
-/// through the sequential baseline and a scheduler configuration, comparing
+/// through the m = 2 control and a scheduler configuration, comparing
 /// winner sets at every step and the full chain shape at the end. The
 /// scheduler changes which samples pay for the narrowing, never the ground
 /// truth the narrowing converges to, so the final chains must match exactly.
 void RunDifferentialWorkload(PrkbOptions sched_opts) {
   Rng data_rng(7);
   PlainTable plain = RandomTable(500, 2, &data_rng, 0, 2000);
-  Workbench ref(plain, SequentialBaseline());
+  Workbench ref(plain, testutil::FanoutTwoControl());
   Workbench bat(plain, sched_opts);
 
   workload::QueryGen gen(0, 2000, 71);
@@ -191,34 +182,149 @@ TEST(ProbeSchedTest, SpeculationOffMatches) {
   RunDifferentialWorkload(o);
 }
 
+enum class ControlOp {
+  kComparison,
+  kBetween,
+  kMd,
+  kEagerInsert,
+  kBufferedFlush,
+};
+
+struct ControlTotals {
+  uint64_t uses;
+  uint64_t trips;
+  uint64_t chain_hash;  // FNV-1a over both chains' EncodeTo bytes
+};
+
+uint64_t ChainHash(const PrkbIndex& index) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (edbms::AttrId attr : {0u, 1u}) {
+    Encoder enc;
+    index.pop(attr).EncodeTo(&enc);
+    for (uint8_t byte : enc.buffer()) {
+      h ^= byte;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+/// 400 rows x 2 attributes, both chains warmed by the same 60 comparisons,
+/// then 60 operations of one kind. Returns the QPF uses and round trips of
+/// those 60 operations and the final chains' hash.
+ControlTotals RunControlWorkload(ControlOp op, uint64_t seed,
+                                 PrkbOptions opts) {
+  Rng data_rng(seed);
+  PlainTable plain = RandomTable(400, 2, &data_rng, 0, 2000);
+  opts.buffered_inserts = op == ControlOp::kBufferedFlush;
+  auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);
+  PrkbIndex index(&db, opts);
+  index.EnableAttr(0);
+  index.EnableAttr(1);
+
+  workload::QueryGen gen(0, 2000, seed + 1);
+  for (int i = 0; i < 60; ++i) {
+    const PlainPredicate p = gen.RandomComparison(i % 2);
+    index.Select(db.MakeComparison(p.attr, p.op, p.lo));
+  }
+  db.ResetUses();
+
+  Rng op_rng(seed + 2);
+  for (int i = 0; i < 60; ++i) {
+    SCOPED_TRACE(::testing::Message() << "op " << i);
+    const edbms::AttrId attr = i % 2;
+    switch (op) {
+      case ControlOp::kComparison: {
+        const PlainPredicate p = gen.RandomComparison(attr);
+        const auto got = index.Select(db.MakeComparison(p.attr, p.op, p.lo));
+        EXPECT_EQ(Sorted(got), OracleSelect(plain, p, &db));
+        break;
+      }
+      case ControlOp::kBetween: {
+        PlainPredicate p;
+        p.attr = attr;
+        p.kind = edbms::PredicateKind::kBetween;
+        p.lo = op_rng.UniformInt64(0, 1500);
+        p.hi = p.lo + op_rng.UniformInt64(0, 400);
+        const auto got = index.Select(db.MakeBetween(attr, p.lo, p.hi));
+        EXPECT_EQ(Sorted(got), OracleSelect(plain, p, &db));
+        break;
+      }
+      case ControlOp::kMd: {
+        const auto box = gen.RandomBox({0, 1}, 0.4);
+        std::vector<Trapdoor> tds;
+        for (const auto& p : box) {
+          tds.push_back(db.MakeComparison(p.attr, p.op, p.lo));
+        }
+        EXPECT_EQ(Sorted(index.SelectRangeMd(tds)),
+                  OracleSelectAll(plain, box, &db));
+        break;
+      }
+      case ControlOp::kEagerInsert:
+      case ControlOp::kBufferedFlush: {
+        const Value v0 = op_rng.UniformInt64(0, 2000);
+        const Value v1 = op_rng.UniformInt64(0, 2000);
+        index.Insert({v0, v1});
+        plain.AddRow({v0, v1});
+        if (op == ControlOp::kBufferedFlush && i % 10 == 9) {
+          index.FlushBuffered(0);
+          index.FlushBuffered(1);
+        }
+        break;
+      }
+    }
+  }
+  for (edbms::AttrId attr : {0u, 1u}) {
+    EXPECT_TRUE(
+        index.pop(attr).ValidateAgainstPlain(testutil::ColumnOf(plain, attr))
+            .ok());
+  }
+  return ControlTotals{db.uses(), db.round_trips(), ChainHash(index)};
+}
+
 TEST(ProbeSchedTest, FanoutTwoSchedulerIsUseIdenticalToLegacy) {
   // At m = 2 with fusion and speculation off, the scheduler's pivots and
-  // sample draws coincide with the legacy binary search exactly, so the QPF
-  // spend — not just the winners — must match probe for probe at every step.
-  Rng data_rng(7);
-  PlainTable plain = RandomTable(400, 2, &data_rng, 0, 2000);
-  PrkbOptions m2;
-  m2.probe_fanout = 2;
-  m2.probe_fusion = false;
-  m2.speculative_scan = false;
-  Workbench ref(plain, SequentialBaseline());
-  Workbench bat(plain, m2);
-
-  workload::QueryGen gen(0, 2000, 171);
-  for (int step = 0; step < 80; ++step) {
-    SCOPED_TRACE(::testing::Message() << "step " << step);
-    const PlainPredicate p = gen.RandomComparison(0);
-    SelectionStats ref_stats, bat_stats;
-    const auto r = ref.index.Select(ref.db.MakeComparison(p.attr, p.op, p.lo),
-                                    &ref_stats);
-    const auto b = bat.index.Select(bat.db.MakeComparison(p.attr, p.op, p.lo),
-                                    &bat_stats);
-    EXPECT_EQ(Sorted(r), Sorted(b));
-    EXPECT_EQ(ref_stats.qpf_uses, bat_stats.qpf_uses);
-    EXPECT_LE(bat_stats.qpf_round_trips, ref_stats.qpf_round_trips);
+  // sample draws coincide with the paper's binary search. The totals below
+  // were recorded from a scalar, one-probe-per-trip implementation of that
+  // search: the control must spend the same QPF uses and end on
+  // byte-identical chains in at most its round trips (the two end probes
+  // share one trip). BETWEEN rows hold the scheduler's own counts: it draws
+  // both chain-end samples in one round before the end searches, where the
+  // scalar search drew the high one after the low search, so the uses
+  // differed (scalar: 5237, 6610, 4307) on identical chains.
+  struct Golden {
+    ControlOp op;
+    uint64_t seed;
+    uint64_t uses;
+    uint64_t max_trips;
+    uint64_t chain_hash;
+  };
+  const Golden golden[] = {
+      {ControlOp::kComparison, 7, 2123, 2123, 0xf8e1c2f834ccc5f2ULL},
+      {ControlOp::kComparison, 8, 1816, 1816, 0xaf5b8b5807e4c55cULL},
+      {ControlOp::kComparison, 9, 1891, 1891, 0xdf67aa8910c5c13dULL},
+      {ControlOp::kBetween, 7, 5257, 5216, 0x231e7a67ae6d09c2ULL},
+      {ControlOp::kBetween, 8, 6611, 6576, 0xadceeb73684f0ba9ULL},
+      {ControlOp::kBetween, 9, 4384, 4342, 0xa8db2658cac5f645ULL},
+      {ControlOp::kMd, 7, 5743, 5743, 0xb177e9ff665a1a4dULL},
+      {ControlOp::kMd, 8, 4885, 4885, 0x75e1921035128675ULL},
+      {ControlOp::kMd, 9, 5234, 5234, 0x56f2ebcdfae61950ULL},
+      {ControlOp::kEagerInsert, 7, 580, 580, 0x43811c816370e457ULL},
+      {ControlOp::kEagerInsert, 8, 593, 593, 0x84688891462a4881ULL},
+      {ControlOp::kEagerInsert, 9, 576, 576, 0x857f0751354983c7ULL},
+      {ControlOp::kBufferedFlush, 7, 580, 580, 0x43811c816370e457ULL},
+      {ControlOp::kBufferedFlush, 8, 593, 593, 0x84688891462a4881ULL},
+      {ControlOp::kBufferedFlush, 9, 576, 576, 0x857f0751354983c7ULL},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(::testing::Message() << "op " << static_cast<int>(g.op)
+                                      << " seed " << g.seed);
+    const ControlTotals got =
+        RunControlWorkload(g.op, g.seed, testutil::FanoutTwoControl());
+    EXPECT_EQ(got.uses, g.uses);
+    EXPECT_LE(got.trips, g.max_trips);
+    EXPECT_EQ(got.chain_hash, g.chain_hash);
   }
-  EXPECT_EQ(ref.db.uses(), bat.db.uses());
-  EXPECT_EQ(ChainShape(ref.index.pop(0)), ChainShape(bat.index.pop(0)));
 }
 
 // ------------------------------------------------------------ MD and fusion
@@ -233,12 +339,12 @@ TEST(ProbeSchedTest, FusedMdWinnersMatchUnfusedAndOracle) {
   PrkbOptions fused;  // defaults: fusion on
   PrkbOptions unfused;
   unfused.probe_fusion = false;
-  PrkbOptions sequential = SequentialBaseline();
+  const PrkbOptions control = testutil::FanoutTwoControl();
 
   auto& reg = obs::MetricsRegistry::Global();
   const uint64_t fused_before = reg.GetCounter("probe_sched.fused")->value();
 
-  for (const PrkbOptions& opts : {fused, unfused, sequential}) {
+  for (const PrkbOptions& opts : {fused, unfused, control}) {
     auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);
     PrkbIndex index(&db, opts);
     index.EnableAttr(0);
@@ -264,8 +370,7 @@ TEST(ProbeSchedTest, RoundsPerCallStaysWithinTheScheduleBound) {
   // within the schedule bound. The histograms are process-global (under the
   // raw binary, earlier tests also record — at several fanouts), so check
   // the loosest bound they all satisfy: 2 + ceil(lg k_max) rounds (m = 2;
-  // larger m only lowers the count, and the sequential path's rounds equal
-  // its probes, bounded the same way).
+  // larger m only lowers the count).
   Rng data_rng(61);
   const PlainTable plain = RandomTable(2000, 1, &data_rng, 0, 100000);
   auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);

@@ -5,7 +5,7 @@
 #include "edbms/cipherbase_qpf.h"
 #include "edbms/sdb_qpf.h"
 #include "gtest/gtest.h"
-#include "prkb/qfilter.h"
+#include "prkb/probe_sched.h"
 #include "prkb/qscan.h"
 #include "tests/test_util.h"
 
@@ -45,7 +45,7 @@ TEST(QFilterTest, SingletonChainIsBoundaryCase) {
   pop.InitSingle(db.num_rows());
   Rng rng(1);
   const Trapdoor td = db.MakeComparison(0, CompareOp::kLt, 25);
-  const auto f = QFilter(pop, td, &db, &rng);
+  const auto f = QFilter(pop, td, &db, &rng, kBinarySearchSched);
   EXPECT_TRUE(f.boundary_case);
   EXPECT_EQ(f.ns_a, 0u);
   EXPECT_EQ(f.ns_b, 0u);
@@ -71,7 +71,7 @@ TEST(QFilterTest, QpfBudgetIsLogarithmic) {
   db.ResetUses();
   Rng rng(5);
   const Trapdoor td = db.MakeComparison(0, CompareOp::kLt, 5000);
-  QFilter(index.pop(0), td, &db, &rng);
+  QFilter(index.pop(0), td, &db, &rng, kBinarySearchSched);
   // 2 end samples + at most ceil(lg k) bisection samples.
   size_t lg = 0;
   while ((1u << lg) < k) ++lg;
@@ -87,7 +87,7 @@ TEST(QScanTest, SplitsNonHomogeneousPartitionExactly) {
   pop.InitSingle(db.num_rows());
   Rng rng(1);
   const Trapdoor td = db.MakeComparison(0, CompareOp::kLt, 25);
-  const auto f = QFilter(pop, td, &db, &rng);
+  const auto f = QFilter(pop, td, &db, &rng, kBinarySearchSched);
   const auto s = QScan(pop, f, td, &db);
   EXPECT_TRUE(s.split_found);
   EXPECT_EQ(Sorted(s.split_true), (std::vector<TupleId>{1, 4}));

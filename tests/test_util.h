@@ -8,6 +8,7 @@
 #include "edbms/cipherbase_qpf.h"
 #include "edbms/table.h"
 #include "edbms/types.h"
+#include "prkb/selection.h"
 
 namespace prkb::testutil {
 
@@ -69,6 +70,16 @@ inline std::vector<edbms::TupleId> Sorted(std::vector<edbms::TupleId> v) {
 inline std::vector<edbms::Value> ColumnOf(const edbms::PlainTable& plain,
                                           edbms::AttrId attr) {
   return plain.column(attr);
+}
+
+/// The m = 2 control: `base` with the probe schedule of
+/// core::kBinarySearchSched — the paper's binary search, one midpoint pivot
+/// per round, no fusion, no speculation.
+inline core::PrkbOptions FanoutTwoControl(core::PrkbOptions base = {}) {
+  base.probe_fanout = core::kBinarySearchSched.fanout;
+  base.probe_fusion = core::kBinarySearchSched.fuse;
+  base.speculative_scan = core::kBinarySearchSched.speculative;
+  return base;
 }
 
 }  // namespace prkb::testutil

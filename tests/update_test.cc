@@ -29,9 +29,9 @@ struct Mirror {
   PlainTable plain{1};
 };
 
-// Placement QPF bound for one insert: the paper's ⌈lg k⌉ + 1 on the
-// sequential path, and its m-ary analogue (m−1)·⌈log_m k⌉ + 1 when the
-// probe scheduler ships m−1 cuts per round trip.
+// Placement QPF bound for one insert: the paper's ⌈lg k⌉ + 1 at m = 2, and
+// its m-ary analogue (m−1)·⌈log_m k⌉ + 1 when the probe scheduler ships m−1
+// cuts per round trip.
 void CheckPlacementBound(PrkbOptions options) {
   Rng data_rng(1);
   PlainTable plain = RandomTable(2000, 1, &data_rng, 0, 1000000);
@@ -45,7 +45,7 @@ void CheckPlacementBound(PrkbOptions options) {
   }
   const size_t k = index.pop(0).k();
   ASSERT_GT(k, 50u);
-  const size_t m = options.sequential_probes ? 2 : options.probe_fanout;
+  const size_t m = options.probe_fanout;
   size_t log_m = 0;
   for (size_t reach = 1; reach < k; reach *= m) ++log_m;
 
@@ -56,7 +56,7 @@ void CheckPlacementBound(PrkbOptions options) {
 }
 
 TEST(InsertTest, PlacementIsLogarithmicInK) {
-  CheckPlacementBound(PrkbOptions{.sequential_probes = true});
+  CheckPlacementBound(testutil::FanoutTwoControl());
 }
 
 TEST(InsertTest, MaryPlacementRespectsTheInflatedBound) {
