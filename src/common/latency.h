@@ -44,7 +44,7 @@ inline void SimulatedLatencyNanos(uint64_t ns) {
 /// Every in-process QPF backend owns exactly one LatencyModel and calls
 /// Apply() once per backend entry (TrustedMachine per TM call, SdbEdbms per
 /// MPC round). Transport shims that ride a *real* wire
-/// (net::RemoteQpfOracle / net::RemoteEdbms) never own one — the network
+/// (net::RemoteEdbms) never own one — the network
 /// provides the latency — so a served evaluation is charged exactly once:
 /// simulated at the hosting backend, or physical on the wire, never both.
 /// A server hosting a backend for remote clients should zero the backend's

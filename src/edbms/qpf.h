@@ -2,12 +2,9 @@
 #define PRKB_EDBMS_QPF_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
-#include <utility>
 
 #include "common/bitvector.h"
 #include "common/status.h"
@@ -50,12 +47,6 @@ struct ProbeRequest {
   TupleId tid;
 };
 
-/// Handle for the split-phase SubmitMany/AwaitMany surface below. Tickets
-/// are per-oracle, never 0 for a non-empty submission, and must be awaited
-/// exactly once (on any thread).
-using ProbeTicket = uint64_t;
-inline constexpr ProbeTicket kEmptyProbeTicket = 0;
-
 /// The query processing function Θ of the paper's EDBMS model (Sec. 3.1):
 /// given an encrypted predicate (trapdoor) and an encrypted tuple, returns
 /// whether the tuple satisfies the hidden plain predicate — and nothing else.
@@ -63,11 +54,11 @@ inline constexpr ProbeTicket kEmptyProbeTicket = 0;
 /// Every evaluation is counted; "number of QPF uses" is the paper's primary
 /// cost metric, and the entire point of PRKB is to minimise it.
 ///
-/// Transport cost is counted separately: each Eval/EvalBatch call is one
-/// *round trip* into the backend (a trusted-machine entry for Cipherbase, an
-/// MPC round for SDB). Batching many tuple evaluations into one round trip
-/// leaves the paper's QPF-use metric — and the bits the SP observes —
-/// unchanged while amortising the per-round latency.
+/// Transport cost is counted separately: each Eval/EvalBatch/EvalMany call
+/// is one *round trip* into the backend (a trusted-machine entry for
+/// Cipherbase, an MPC round for SDB). Batching many tuple evaluations into
+/// one round trip leaves the paper's QPF-use metric — and the bits the SP
+/// observes — unchanged while amortising the per-round latency.
 ///
 /// Counters are atomic so parallel scan workers can share one oracle.
 class QpfOracle {
@@ -94,14 +85,9 @@ class QpfOracle {
 
   /// Θ(p̄, t̄) — counted as one use and one round trip.
   bool Eval(const Trapdoor& td, TupleId tid) {
-    uses_.fetch_add(1, std::memory_order_relaxed);
-    round_trips_.fetch_add(1, std::memory_order_relaxed);
-    const QpfMetrics& m = QpfMetrics::Get();
-    m.uses->Add(1);
-    m.round_trips->Add(1);
-    const uint64_t t0 = obs::ObsTracer::NowNs();
+    const uint64_t t0 = Count(1, /*batch=*/false);
     const bool out = DoEval(td, tid);
-    m.round_trip_ns->Record(obs::ObsTracer::NowNs() - t0);
+    RecordTrip(t0);
     return out;
   }
 
@@ -111,17 +97,9 @@ class QpfOracle {
   /// (if unamortised) behaviour for free.
   BitVector EvalBatch(const Trapdoor& td, std::span<const TupleId> tids) {
     if (tids.empty()) return BitVector();
-    uses_.fetch_add(tids.size(), std::memory_order_relaxed);
-    round_trips_.fetch_add(1, std::memory_order_relaxed);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    const QpfMetrics& m = QpfMetrics::Get();
-    m.uses->Add(tids.size());
-    m.round_trips->Add(1);
-    m.batches->Add(1);
-    m.batch_tuples->Record(tids.size());
-    const uint64_t t0 = obs::ObsTracer::NowNs();
+    const uint64_t t0 = Count(tids.size(), /*batch=*/true);
     BitVector out = DoEvalBatch(td, tids);
-    m.round_trip_ns->Record(obs::ObsTracer::NowNs() - t0);
+    RecordTrip(t0);
     return out;
   }
 
@@ -129,58 +107,16 @@ class QpfOracle {
   /// trapdoor — in one round trip. Bit i of the result is
   /// Θ(*reqs[i].td, reqs[i].tid). Counts |reqs| uses but a single round
   /// trip, exactly like EvalBatch; the default implementation loops over
-  /// DoEval so every backend is correct (if unamortised) for free.
+  /// DoEval so every backend is correct (if unamortised) for free. This is
+  /// the probe scheduler's round: a coalescing transport (net::RoundBus)
+  /// merges concurrent selections' calls into one backend entry beneath it,
+  /// so the accounting here — and per-selection SelectionStats — do not
+  /// depend on how the round physically travels.
   BitVector EvalMany(std::span<const ProbeRequest> reqs) {
     if (reqs.empty()) return BitVector();
-    uses_.fetch_add(reqs.size(), std::memory_order_relaxed);
-    round_trips_.fetch_add(1, std::memory_order_relaxed);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    const QpfMetrics& m = QpfMetrics::Get();
-    m.uses->Add(reqs.size());
-    m.round_trips->Add(1);
-    m.batches->Add(1);
-    m.batch_tuples->Record(reqs.size());
-    const uint64_t t0 = obs::ObsTracer::NowNs();
+    const uint64_t t0 = Count(reqs.size(), /*batch=*/true);
     BitVector out = DoEvalMany(reqs);
-    m.round_trip_ns->Record(obs::ObsTracer::NowNs() - t0);
-    return out;
-  }
-
-  /// Split-phase EvalMany for the probe scheduler: SubmitMany ships the
-  /// round and returns a ticket; AwaitMany blocks for its bits. All logical
-  /// accounting — |reqs| uses, one round trip, one batch — happens at
-  /// submission, identically to EvalMany, so per-selection SelectionStats
-  /// and the paper's QPF-use metric are byte-for-byte unaffected by *how*
-  /// the round physically travels. The default implementation evaluates
-  /// synchronously at submit and stashes the bits (every backend behaves
-  /// like EvalMany split in two); a coalescing transport (net::RoundBus)
-  /// overrides the Do* hooks to merge concurrently submitted rounds from
-  /// different selections into one backend entry. The pointed-to trapdoors
-  /// must stay alive until AwaitMany returns.
-  ProbeTicket SubmitMany(std::span<const ProbeRequest> reqs) {
-    if (reqs.empty()) return kEmptyProbeTicket;
-    uses_.fetch_add(reqs.size(), std::memory_order_relaxed);
-    round_trips_.fetch_add(1, std::memory_order_relaxed);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    const QpfMetrics& m = QpfMetrics::Get();
-    m.uses->Add(reqs.size());
-    m.round_trips->Add(1);
-    m.batches->Add(1);
-    m.batch_tuples->Record(reqs.size());
-    const ProbeTicket t = tickets_->Open(obs::ObsTracer::NowNs());
-    DoSubmitMany(t, reqs);
-    return t;
-  }
-
-  /// Blocks until ticket `t`'s round completes and returns its bits (bit i
-  /// is Θ(*reqs[i].td, reqs[i].tid) of the submitted span). Records the
-  /// logical round's qpf.round_trip_ns from submit to completion, so any
-  /// coalescing linger is visible in the histogram the calibrator fits.
-  BitVector AwaitMany(ProbeTicket t) {
-    if (t == kEmptyProbeTicket) return BitVector();
-    BitVector out = DoAwaitMany(t);
-    QpfMetrics::Get().round_trip_ns->Record(obs::ObsTracer::NowNs() -
-                                            tickets_->Close(t));
+    RecordTrip(t0);
     return out;
   }
 
@@ -197,11 +133,11 @@ class QpfOracle {
   /// --- Uncounted backend entries for transport shims ----------------------
   ///
   /// net::QpfServer re-enters the backend on behalf of a remote client whose
-  /// own QpfOracle wrappers (RemoteQpfOracle / RemoteEdbms) already counted
-  /// the round trip and the uses. These entries evaluate without touching
-  /// any counter or registry metric, so a served evaluation is counted
-  /// exactly once — client-side, where the paper's cost accrues. Never call
-  /// these from query-processing code; they exist only for the serving shim.
+  /// own QpfOracle wrappers (net::RemoteEdbms) already counted the round
+  /// trip and the uses. These entries evaluate without touching any counter
+  /// or registry metric, so a served evaluation is counted exactly once —
+  /// client-side, where the paper's cost accrues. Never call these from
+  /// query-processing code; they exist only for the serving shim.
   bool ServeEval(const Trapdoor& td, TupleId tid) { return DoEval(td, tid); }
   BitVector ServeEvalBatch(const Trapdoor& td, std::span<const TupleId> tids) {
     return DoEvalBatch(td, tids);
@@ -211,7 +147,7 @@ class QpfOracle {
   }
 
   /// Transport health: non-OK once the oracle can no longer reach its
-  /// backend (a RemoteQpfOracle whose channel died mid-query). In-process
+  /// backend (a net::RemoteEdbms whose channel died mid-query). In-process
   /// backends are always healthy; callers that just ran a selection check
   /// this to turn silently-empty remote results into a clean error.
   virtual Status Health() const { return Status::Ok(); }
@@ -256,61 +192,29 @@ class QpfOracle {
     return out;
   }
 
-  /// Backend hooks for the split-phase surface. The defaults evaluate at
-  /// submit time and park the bits in the ticket book, so non-coalescing
-  /// backends need nothing; a coalescing transport overrides both to defer
-  /// the backend entry until its linger window closes.
-  virtual void DoSubmitMany(ProbeTicket t, std::span<const ProbeRequest> reqs) {
-    tickets_->Stash(t, DoEvalMany(reqs));
+  /// Logical accounting shared by the three counted entries: `n` uses and
+  /// one round trip (plus one batch of `n` tuples for the batch entries).
+  /// Returns the round's start time for RecordTrip.
+  uint64_t Count(size_t n, bool batch) {
+    uses_.fetch_add(n, std::memory_order_relaxed);
+    round_trips_.fetch_add(1, std::memory_order_relaxed);
+    const QpfMetrics& m = QpfMetrics::Get();
+    m.uses->Add(n);
+    m.round_trips->Add(1);
+    if (batch) {
+      batches_.fetch_add(1, std::memory_order_relaxed);
+      m.batches->Add(1);
+      m.batch_tuples->Record(n);
+    }
+    return obs::ObsTracer::NowNs();
   }
-  virtual BitVector DoAwaitMany(ProbeTicket t) { return tickets_->Unstash(t); }
-
-  /// Submit-time bookkeeping shared by all backends: the submit timestamp
-  /// for the round-trip histogram, plus the default implementation's ready
-  /// bits. Held by pointer so the user-defined moves stay trivial — an
-  /// oracle is never moved with tickets in flight (same caller contract as
-  /// moving during Eval).
-  class TicketBook {
-   public:
-    ProbeTicket Open(uint64_t t0_ns) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const ProbeTicket t = next_++;
-      open_.emplace(t, Entry{t0_ns, BitVector()});
-      return t;
-    }
-    uint64_t Close(ProbeTicket t) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = open_.find(t);
-      if (it == open_.end()) return 0;
-      const uint64_t t0 = it->second.t0_ns;
-      open_.erase(it);
-      return t0;
-    }
-    void Stash(ProbeTicket t, BitVector bits) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = open_.find(t);
-      if (it != open_.end()) it->second.ready = std::move(bits);
-    }
-    BitVector Unstash(ProbeTicket t) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = open_.find(t);
-      return it == open_.end() ? BitVector() : std::move(it->second.ready);
-    }
-
-   private:
-    struct Entry {
-      uint64_t t0_ns;
-      BitVector ready;
-    };
-    std::mutex mu_;
-    ProbeTicket next_ = 1;
-    std::unordered_map<ProbeTicket, Entry> open_;
-  };
+  static void RecordTrip(uint64_t t0_ns) {
+    QpfMetrics::Get().round_trip_ns->Record(obs::ObsTracer::NowNs() - t0_ns);
+  }
 
   std::atomic<uint64_t> uses_{0};
   std::atomic<uint64_t> round_trips_{0};
   std::atomic<uint64_t> batches_{0};
-  std::unique_ptr<TicketBook> tickets_ = std::make_unique<TicketBook>();
 };
 
 }  // namespace prkb::edbms

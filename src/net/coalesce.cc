@@ -46,40 +46,17 @@ RoundBus::RoundBus(edbms::QpfOracle* inner, RoundBusOptions opts)
   CoalesceMetrics::Get().linger_ns->Set(static_cast<int64_t>(opts.linger_ns));
 }
 
-uint64_t RoundBus::Submit(std::span<const edbms::ProbeRequest> reqs,
-                          uint64_t key) {
+uint64_t RoundBus::Submit(std::span<const edbms::ProbeRequest> reqs) {
   if (reqs.empty()) return 0;
   const CoalesceMetrics& m = CoalesceMetrics::Get();
   m.rounds->Add(1);
   m.requests->Add(reqs.size());
-  std::unique_lock<std::mutex> lk(mu_);
-  const uint64_t t = key != 0 ? key : next_ticket_++;
-  totals_.rounds += 1;
-  totals_.requests += reqs.size();
-  if (linger_ns_.load(std::memory_order_relaxed) == 0 && queue_.empty() &&
-      !collecting_ && EstimateBytes(reqs) <= opts_.max_entry_bytes) {
-    // Lone round, no window to hold for: evaluate inline (lock released) and
-    // stash the bits for Await, skipping the queue/collector machinery and
-    // the request copy. The span's backing stays valid for the duration of
-    // this call, so no copy is needed.
-    auto sub = std::make_shared<Sub>();
-    sub->state = Sub::kFlushing;
-    subs_.emplace(t, sub);
-    totals_.entries += 1;
-    factor_ewma_ = flushes_ == 0 ? 1.0 : 0.75 * factor_ewma_ + 0.25;
-    ++flushes_;
-    lk.unlock();
-    BitVector bits = inner_->ServeEvalMany(reqs);
-    lk.lock();
-    sub->bits = std::move(bits);
-    sub->state = Sub::kDone;
-    lk.unlock();
-    cv_.notify_all();  // an Await may already be parked on this ticket
-    m.entries->Add(1);
-    return t;
-  }
   auto sub = std::make_shared<Sub>();
   sub->reqs.assign(reqs.begin(), reqs.end());
+  const std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t t = next_ticket_++;
+  totals_.rounds += 1;
+  totals_.requests += reqs.size();
   subs_.emplace(t, sub);
   queue_.push_back(std::move(sub));
   return t;
@@ -87,24 +64,9 @@ uint64_t RoundBus::Submit(std::span<const edbms::ProbeRequest> reqs,
 
 BitVector RoundBus::Exchange(std::span<const edbms::ProbeRequest> reqs) {
   if (reqs.empty()) return BitVector();
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (linger_ns_.load(std::memory_order_relaxed) == 0 && queue_.empty() &&
-        !collecting_ && EstimateBytes(reqs) <= opts_.max_entry_bytes) {
-      totals_.rounds += 1;
-      totals_.requests += reqs.size();
-      totals_.entries += 1;
-      factor_ewma_ = flushes_ == 0 ? 1.0 : 0.75 * factor_ewma_ + 0.25;
-      ++flushes_;
-      lk.unlock();
-      // The factor gauge is refreshed on merged flushes and stats() reads;
-      // skipping it here keeps the passthrough to counter bumps only.
-      const CoalesceMetrics& m = CoalesceMetrics::Get();
-      m.rounds->Add(1);
-      m.requests->Add(reqs.size());
-      m.entries->Add(1);
-      return inner_->ServeEvalMany(reqs);
-    }
+  if (linger_ns_.load(std::memory_order_relaxed) == 0 &&
+      ClaimPassthrough(reqs.size(), EstimateBytes(reqs))) {
+    return inner_->ServeEvalMany(reqs);
   }
   return Await(Submit(reqs));
 }
@@ -114,7 +76,10 @@ bool RoundBus::TryDirect(const edbms::Trapdoor& td, size_t n) {
   // Lock-free decline while a window is open: with a nonzero linger every
   // round must go through the queue so it can merge.
   if (linger_ns_.load(std::memory_order_relaxed) != 0) return false;
-  const size_t bytes = kChunkFixedBytes + n * kItemBytes + TdBytes(td);
+  return ClaimPassthrough(n, kChunkFixedBytes + n * kItemBytes + TdBytes(td));
+}
+
+bool RoundBus::ClaimPassthrough(size_t n, size_t bytes) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (linger_ns_.load(std::memory_order_relaxed) != 0 || !queue_.empty() ||
@@ -127,6 +92,8 @@ bool RoundBus::TryDirect(const edbms::Trapdoor& td, size_t n) {
     factor_ewma_ = flushes_ == 0 ? 1.0 : 0.75 * factor_ewma_ + 0.25;
     ++flushes_;
   }
+  // The factor gauge is refreshed on merged flushes and stats() reads;
+  // skipping it here keeps the passthrough to counter bumps only.
   const CoalesceMetrics& m = CoalesceMetrics::Get();
   m.rounds->Add(1);
   m.requests->Add(n);

@@ -77,8 +77,8 @@ struct RoundBusOptions {
 /// backend entry — one wire frame, one trusted-machine entry — within a
 /// linger window derived from the fitted round-trip latency.
 ///
-/// Protocol: Submit enqueues a round and returns a ticket; Await blocks on
-/// it. The first awaiting thread that finds no collection in progress
+/// Protocol: Exchange enqueues a round (Submit) and blocks on its ticket
+/// (Await). The first awaiting thread that finds no collection in progress
 /// elects itself collector, lingers with the lock released, then takes the
 /// whole queue as one batch, *releases the collector role before flushing*
 /// — so the next window opens while this entry is still on the wire,
@@ -102,24 +102,20 @@ class RoundBus {
   RoundBus(const RoundBus&) = delete;
   RoundBus& operator=(const RoundBus&) = delete;
 
-  /// Enqueues one logical round; returns 0 for an empty span. A nonzero
-  /// `key` becomes the round's ticket (caller-chosen, e.g. the oracle's
-  /// ProbeTicket, avoiding a ticket-translation map); it must be unique
-  /// among outstanding rounds and below 2^62 — internally allocated tickets
-  /// live above that line.
-  uint64_t Submit(std::span<const edbms::ProbeRequest> reqs,
-                  uint64_t key = 0);
+  /// Enqueues one logical round (copying the requests); returns its ticket,
+  /// or 0 for an empty span.
+  uint64_t Submit(std::span<const edbms::ProbeRequest> reqs);
 
   /// Blocks until ticket `t`'s round has travelled; bit i of the result is
   /// Θ(*reqs[i].td, reqs[i].tid) of the submitted span. Each ticket must be
   /// awaited exactly once.
   BitVector Await(uint64_t t);
 
-  /// Submit + Await in one call, for the synchronous Eval* paths. When the
-  /// linger window is zero and nothing is queued or collecting, this skips
-  /// the ticket/scatter machinery entirely — there is nothing to merge with
-  /// and no window to hold for, so a lone loopback caller pays one mutex
-  /// acquisition over the uncoalesced path.
+  /// Submit + Await in one call: the only way the Eval* paths enter the
+  /// queue. When the linger window is zero and nothing is queued or
+  /// collecting, this skips the ticket/scatter machinery entirely — there is
+  /// nothing to merge with and no window to hold for, so a lone loopback
+  /// caller pays one mutex acquisition over the uncoalesced path.
   BitVector Exchange(std::span<const edbms::ProbeRequest> reqs);
 
   /// Fast-path gate for the single-trapdoor Eval/EvalBatch forwards: when
@@ -161,6 +157,12 @@ class RoundBus {
     State state = kQueued;
   };
 
+  /// Claims a zero-window round of `n` requests and ~`bytes` wire bytes as
+  /// one passthrough backend entry, applying all bus accounting; false (and
+  /// nothing counted) when a window is open, anything is queued or
+  /// collecting, or the round exceeds the entry budget.
+  bool ClaimPassthrough(size_t n, size_t bytes);
+
   /// Collector role: linger (lock released), take the queue, flush it as
   /// one-or-more backend entries, wake the owners. `lk` holds mu_ on entry
   /// and exit.
@@ -177,8 +179,7 @@ class RoundBus {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// Internal tickets start above the caller-key range (see Submit).
-  uint64_t next_ticket_ = uint64_t{1} << 62;
+  uint64_t next_ticket_ = 1;
   bool collecting_ = false;
   std::vector<std::shared_ptr<Sub>> queue_;
   std::unordered_map<uint64_t, std::shared_ptr<Sub>> subs_;
@@ -191,9 +192,10 @@ class RoundBus {
 /// Drop-in Edbms whose Θ surface rides a RoundBus: DO-side calls and table
 /// geometry forward to the wrapped instance (a local CipherbaseEdbms /
 /// SdbEdbms, or a RemoteEdbms — giving socketless benches and the real wire
-/// the same merge point), while every Eval/EvalBatch/EvalMany and every
-/// SubmitMany ticket the probe scheduler ships merges with concurrent
-/// selections' rounds before entering the backend.
+/// the same merge point), while every Eval/EvalBatch/EvalMany — including
+/// each round the probe scheduler ships — merges with concurrent
+/// selections' rounds before entering the backend. A shipping thread blocks
+/// in Exchange until its round has travelled.
 class CoalescedEdbms : public edbms::Edbms {
  public:
   explicit CoalescedEdbms(edbms::Edbms* inner, RoundBusOptions opts = {})
@@ -253,11 +255,6 @@ class CoalescedEdbms : public edbms::Edbms {
   BitVector DoEvalMany(std::span<const edbms::ProbeRequest> reqs) override {
     return bus_.Exchange(reqs);
   }
-  // The split-phase ticket surface needs no override: the base default
-  // evaluates through this DoEvalMany — i.e. through the bus — at Ship time
-  // and stashes the bits for Await. A shipping thread blocks in Exchange
-  // exactly as it would have blocked in Collect (rounds ship and collect
-  // back-to-back), and concurrent selections still merge inside the bus.
 
   edbms::Edbms* inner_;
   RoundBus bus_;

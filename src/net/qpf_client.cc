@@ -185,49 +185,6 @@ BitVector FailClosed(size_t n) { return BitVector(n); }
 
 }  // namespace
 
-bool RemoteQpfOracle::DoEval(const edbms::Trapdoor& td, edbms::TupleId tid) {
-  Frame resp;
-  if (!client_->Call(MsgType::kEvalReq, EncodeEvalReq(td, tid), &resp).ok()) {
-    return false;
-  }
-  BitVector bits;
-  if (!DecodeResultResp(resp.payload, &bits).ok() || bits.size() != 1) {
-    return false;
-  }
-  return bits.Get(0);
-}
-
-BitVector RemoteQpfOracle::DoEvalBatch(const edbms::Trapdoor& td,
-                                       std::span<const edbms::TupleId> tids) {
-  Frame resp;
-  if (!client_->Call(MsgType::kEvalBatchReq, EncodeEvalBatchReq(td, tids),
-                     &resp)
-           .ok()) {
-    return FailClosed(tids.size());
-  }
-  BitVector bits;
-  if (!DecodeResultResp(resp.payload, &bits).ok() ||
-      bits.size() != tids.size()) {
-    return FailClosed(tids.size());
-  }
-  return bits;
-}
-
-BitVector RemoteQpfOracle::DoEvalMany(
-    std::span<const edbms::ProbeRequest> reqs) {
-  Frame resp;
-  if (!client_->Call(MsgType::kEvalManyReq, EncodeEvalManyReq(reqs), &resp)
-           .ok()) {
-    return FailClosed(reqs.size());
-  }
-  BitVector bits;
-  if (!DecodeResultResp(resp.payload, &bits).ok() ||
-      bits.size() != reqs.size()) {
-    return FailClosed(reqs.size());
-  }
-  return bits;
-}
-
 bool RemoteEdbms::DoEval(const edbms::Trapdoor& td, edbms::TupleId tid) {
   Frame resp;
   if (!client_->Call(MsgType::kEvalReq, EncodeEvalReq(td, tid), &resp).ok()) {

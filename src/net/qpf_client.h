@@ -92,25 +92,6 @@ class QpfClient {
   std::atomic<bool> logged_failclosed_{false};
 };
 
-/// Client-side QPF backend: Θ over the wire. Plugs into everything that
-/// consumes a QpfOracle (ProbeRound, ScanTuples, the SDB-style harness) and
-/// keeps the standard accounting — each Eval/EvalBatch/EvalMany is one use
-/// bundle and one *real* round trip; qpf.round_trip_ns measures the wire.
-class RemoteQpfOracle : public edbms::QpfOracle {
- public:
-  explicit RemoteQpfOracle(QpfClient* client) : client_(client) {}
-
-  Status Health() const override { return client_->Health(); }
-
- private:
-  bool DoEval(const edbms::Trapdoor& td, edbms::TupleId tid) override;
-  BitVector DoEvalBatch(const edbms::Trapdoor& td,
-                        std::span<const edbms::TupleId> tids) override;
-  BitVector DoEvalMany(std::span<const edbms::ProbeRequest> reqs) override;
-
-  QpfClient* client_;
-};
-
 /// Client-side Edbms for serving deployments: the data-owner surface
 /// (Insert / Delete / trapdoor issuing) and the SP-side table geometry stay
 /// on the co-located `local` instance — both roles live at the service

@@ -1,13 +1,33 @@
 #include "net/qpf_server.h"
 
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace prkb::net {
+namespace {
 
-QpfServer::QpfServer(edbms::QpfOracle* oracle, QpfServerOptions opts)
-    : oracle_(oracle), opts_(opts) {
+/// OK when Θ(td, tid) addresses a cell of `db`'s table. Wire input is
+/// untrusted, and the backends index columns by trapdoor attribute and rows
+/// by tuple id without bounds checks.
+Status CheckCell(const edbms::Edbms& db, const edbms::Trapdoor& td,
+                 edbms::TupleId tid) {
+  if (td.attr >= db.num_attrs()) {
+    return Status::OutOfRange("trapdoor attribute " + std::to_string(td.attr) +
+                              " outside the served table");
+  }
+  if (tid >= db.num_rows()) {
+    return Status::OutOfRange("tuple id " + std::to_string(tid) +
+                              " outside the served table");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+QpfServer::QpfServer(edbms::Edbms* db, QpfServerOptions opts)
+    : db_(db), opts_(opts) {
   if (opts_.workers < 1) opts_.workers = 1;
   if (opts_.max_queue < opts_.workers) opts_.max_queue = opts_.workers;
 }
@@ -136,31 +156,39 @@ void QpfServer::Handle(Conn* conn, Frame&& req) {
     case MsgType::kEvalReq: {
       edbms::Trapdoor td;
       edbms::TupleId tid = 0;
-      const Status s = DecodeEvalReq(req.payload, &td, &tid);
+      Status s = DecodeEvalReq(req.payload, &td, &tid);
+      if (s.ok()) s = CheckCell(*db_, td, tid);
       if (!s.ok()) {
         Reply(conn, req.corr, MsgType::kErrorResp, EncodeErrorResp(s));
         return;
       }
       BitVector bit(1);
-      bit.Assign(0, oracle_->ServeEval(td, tid));
+      bit.Assign(0, db_->ServeEval(td, tid));
       Reply(conn, req.corr, MsgType::kResultResp, EncodeResultResp(bit));
       return;
     }
     case MsgType::kEvalBatchReq: {
       edbms::Trapdoor td;
       std::vector<edbms::TupleId> tids;
-      const Status s = DecodeEvalBatchReq(req.payload, &td, &tids);
+      Status s = DecodeEvalBatchReq(req.payload, &td, &tids);
+      for (size_t i = 0; i < tids.size() && s.ok(); ++i) {
+        s = CheckCell(*db_, td, tids[i]);
+      }
       if (!s.ok()) {
         Reply(conn, req.corr, MsgType::kErrorResp, EncodeErrorResp(s));
         return;
       }
-      const BitVector bits = oracle_->ServeEvalBatch(td, tids);
+      const BitVector bits = db_->ServeEvalBatch(td, tids);
       Reply(conn, req.corr, MsgType::kResultResp, EncodeResultResp(bits));
       return;
     }
     case MsgType::kEvalManyReq: {
       ManyReq many;
-      const Status s = DecodeEvalManyReq(req.payload, &many);
+      Status s = DecodeEvalManyReq(req.payload, &many);
+      for (size_t i = 0; i < many.items.size() && s.ok(); ++i) {
+        s = CheckCell(*db_, many.tds[many.items[i].td_index],
+                      many.items[i].tid);
+      }
       if (!s.ok()) {
         Reply(conn, req.corr, MsgType::kErrorResp, EncodeErrorResp(s));
         return;
@@ -171,7 +199,7 @@ void QpfServer::Handle(Conn* conn, Frame&& req) {
         reqs.push_back(
             edbms::ProbeRequest{&many.tds[item.td_index], item.tid});
       }
-      const BitVector bits = oracle_->ServeEvalMany(reqs);
+      const BitVector bits = db_->ServeEvalMany(reqs);
       Reply(conn, req.corr, MsgType::kResultResp, EncodeResultResp(bits));
       return;
     }

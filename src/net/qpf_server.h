@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "edbms/qpf.h"
+#include "edbms/edbms.h"
 #include "net/channel.h"
 #include "net/frame.h"
 
@@ -29,11 +29,13 @@ struct QpfServerOptions {
   size_t max_queue = 1024;
 };
 
-/// Hosts a QpfOracle behind a socket endpoint — the paper's trusted-machine
+/// Hosts an Edbms's Θ behind a socket endpoint — the paper's trusted-machine
 /// boundary as an actual service (DESIGN.md §12). One accept thread, one
 /// reader thread per connection, a shared worker pool evaluating rounds via
 /// the oracle's *uncounted* Serve entries (the remote client's QpfOracle
-/// wrappers already count each round exactly once).
+/// wrappers already count each round exactly once). A request naming an
+/// attribute or tuple outside the hosted table is refused with OutOfRange
+/// before it reaches the backend, which indexes both unchecked.
 ///
 /// Responses may be sent out of order: each carries the request's
 /// correlation id, so a slow m-ary round from one selection never blocks a
@@ -41,7 +43,7 @@ struct QpfServerOptions {
 /// probe scheduler's fused rounds.
 class QpfServer {
  public:
-  explicit QpfServer(edbms::QpfOracle* oracle, QpfServerOptions opts = {});
+  explicit QpfServer(edbms::Edbms* db, QpfServerOptions opts = {});
   ~QpfServer();
 
   QpfServer(const QpfServer&) = delete;
@@ -80,7 +82,7 @@ class QpfServer {
   void Reply(Conn* conn, uint64_t corr, MsgType type,
              std::vector<uint8_t> payload);
 
-  edbms::QpfOracle* oracle_;
+  edbms::Edbms* db_;
   QpfServerOptions opts_;
   Listener listener_;
   std::thread acceptor_;

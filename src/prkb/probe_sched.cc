@@ -65,7 +65,6 @@ void RecordSpeculativeWaste(const PrepaidScan& prepaid) {
 
 size_t ProbeRound::Add(const edbms::Trapdoor& td, edbms::TupleId tid,
                        int source) {
-  assert(!inflight_);  // queueing into a shipped-but-uncollected round
   if (shipped_) {
     reqs_.clear();
     sources_.clear();
@@ -76,8 +75,8 @@ size_t ProbeRound::Add(const edbms::Trapdoor& td, edbms::TupleId tid,
   return reqs_.size() - 1;
 }
 
-void ProbeRound::Ship() {
-  if (shipped_ || inflight_ || reqs_.empty()) return;
+void ProbeRound::Flush() {
+  if (shipped_ || reqs_.empty()) return;
   const ProbeSchedMetrics& m = ProbeSchedMetrics::Get();
   m.rounds->Add(1);
   m.requests->Add(reqs_.size());
@@ -91,19 +90,9 @@ void ProbeRound::Ship() {
     // the paper's per-probe accounting.
     results_ = BitVector(1);
     results_.Assign(0, qpf_->Eval(*reqs_[0].td, reqs_[0].tid));
-    ++trips_;
-    shipped_ = true;
-    return;
+  } else {
+    results_ = qpf_->EvalMany(reqs_);
   }
-  ticket_ = qpf_->SubmitMany(reqs_);
-  inflight_ = true;
-}
-
-void ProbeRound::Collect() {
-  if (!inflight_) return;
-  results_ = qpf_->AwaitMany(ticket_);
-  ticket_ = edbms::kEmptyProbeTicket;
-  inflight_ = false;
   ++trips_;
   shipped_ = true;
 }

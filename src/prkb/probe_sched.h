@@ -63,6 +63,8 @@ void RecordSpeculativeWaste(const PrepaidScan& prepaid);
 /// One shippable probe round: heterogeneous (trapdoor, tuple) requests from
 /// any number of concurrent searches, evaluated in a single
 /// QpfOracle::EvalMany round trip (scalar Eval when only one lane queued).
+/// On a coalescing transport, that one call is where concurrent selections'
+/// rounds merge into one backend entry.
 class ProbeRound {
  public:
   explicit ProbeRound(edbms::QpfOracle* qpf) : qpf_(qpf) {}
@@ -72,29 +74,13 @@ class ProbeRound {
   /// from ≥ 2 sources counts as fused.
   size_t Add(const edbms::Trapdoor& td, edbms::TupleId tid, int source = 0);
 
-  /// Ships every queued request as one split-phase SubmitMany ticket (a
-  /// lone probe stays a scalar Eval). No-op when empty or already in
-  /// flight. On a coalescing transport, the window between Ship and
-  /// Collect is where concurrent selections' rounds merge into one
-  /// backend entry.
-  void Ship();
-
-  /// Blocks for the bits of the in-flight ticket. No-op when nothing is in
-  /// flight.
-  void Collect();
-
-  /// Ships every queued request in one round trip: Ship + Collect.
-  void Flush() {
-    Ship();
-    Collect();
-  }
+  /// Ships every queued request in one round trip (a lone probe stays a
+  /// scalar Eval). No-op when empty or already flushed.
+  void Flush();
 
   /// Lane outcome from the last Flush.
   bool ResultOf(size_t lane) const { return results_.Get(lane); }
 
-  size_t pending() const {
-    return (shipped_ || inflight_) ? 0 : reqs_.size();
-  }
   /// Round trips this ProbeRound has shipped so far.
   uint64_t trips() const { return trips_; }
 
@@ -103,8 +89,6 @@ class ProbeRound {
   std::vector<edbms::ProbeRequest> reqs_;
   std::vector<int> sources_;
   BitVector results_;
-  edbms::ProbeTicket ticket_ = edbms::kEmptyProbeTicket;
-  bool inflight_ = false;
   bool shipped_ = false;
   uint64_t trips_ = 0;
 };

@@ -110,28 +110,6 @@ TEST(RoundBusTest, LoneSubmissionIsPassthrough) {
   EXPECT_EQ(st.linger_ns, 0u);
 }
 
-TEST(RoundBusTest, DefaultSubmitAwaitMatchesEvalMany) {
-  // The split-phase surface on a plain oracle (no bus): bits and counters
-  // identical to EvalMany.
-  FakeOracle a;
-  FakeOracle b;
-  const Trapdoor td = MakeFakeTrapdoor(9);
-  std::vector<ProbeRequest> reqs;
-  for (TupleId tid = 0; tid < 17; ++tid) reqs.push_back({&td, tid});
-
-  const BitVector direct = a.EvalMany(reqs);
-  const edbms::ProbeTicket t = b.SubmitMany(reqs);
-  const BitVector split = b.AwaitMany(t);
-
-  ASSERT_EQ(direct.size(), split.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(direct.Get(i), split.Get(i));
-  }
-  EXPECT_EQ(a.uses(), b.uses());
-  EXPECT_EQ(a.round_trips(), b.round_trips());
-  EXPECT_EQ(a.batches(), b.batches());
-}
-
 TEST(RoundBusTest, AdaptiveLingerFollowsFittedLatency) {
   FakeOracle fake;
   RoundBusOptions opts;  // defaults: adaptive, frac 1/8, floor 100µs

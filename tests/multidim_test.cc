@@ -141,6 +141,10 @@ struct MdSweep {
   size_t dims;
   Value domain;
   bool eager;
+  // The ctest names of this sweep are a byte dump of the parameter, so the
+  // padding after `eager` is an explicit zero field: left implicit, it picks
+  // up whatever bytes the stack held.
+  uint8_t zero_pad[7] = {};
 };
 
 class MultidimPropertyTest : public ::testing::TestWithParam<MdSweep> {};

@@ -1,5 +1,5 @@
 // Loopback serving differential: every selection workload driven through a
-// RemoteQpfOracle talking to a QpfServer over a real socket must produce
+// RemoteEdbms talking to a QpfServer over a real socket must produce
 // byte-identical winner sets and identical QPF-use counts to the same
 // workload run in-process — the wire changes *where* Θ evaluates, never
 // which bits it produces or how many the client pays for. Plus transport
@@ -376,6 +376,52 @@ TEST(NetServingTest, MalformedFrameGetsErrorResponseAndSeveredConnection) {
   auto alive = net::QpfClient::ConnectTcp("127.0.0.1", server.port());
   ASSERT_TRUE(alive.ok());
   EXPECT_TRUE(alive.value()->Ping().ok());
+  server.Stop();
+}
+
+TEST(NetServingTest, OutOfRangeIdsAreRefusedAndTheServerKeepsServing) {
+  Rng rng(31);
+  auto db = edbms::CipherbaseEdbms::FromPlainTable(
+      67, testutil::RandomTable(40, 1, &rng, 0, 999));
+  net::QpfServer server(&db);
+  ASSERT_TRUE(server.ServeTcp(0).ok());
+  auto c = net::QpfClient::ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(c.ok());
+  net::QpfClient& client = *c.value();
+
+  const edbms::Trapdoor td = db.MakeComparison(0, CompareOp::kLt, 500);
+  edbms::Trapdoor bad_attr = td;
+  bad_attr.attr = 7;  // the served table has one attribute
+  const TupleId bad_tid = 50'000'000;
+  const std::vector<TupleId> batch = {0, bad_tid, 1};
+  const std::vector<edbms::ProbeRequest> many = {{&td, 0}, {&bad_attr, 1}};
+
+  struct BadFrame {
+    net::MsgType type;
+    std::vector<uint8_t> payload;
+  };
+  const std::vector<BadFrame> frames = {
+      {net::MsgType::kEvalReq, net::EncodeEvalReq(td, bad_tid)},
+      {net::MsgType::kEvalReq, net::EncodeEvalReq(bad_attr, 0)},
+      {net::MsgType::kEvalBatchReq, net::EncodeEvalBatchReq(td, batch)},
+      {net::MsgType::kEvalManyReq, net::EncodeEvalManyReq(many)},
+  };
+  for (const BadFrame& f : frames) {
+    net::Frame resp;
+    const Status s = client.Call(f.type, f.payload, &resp);
+    EXPECT_EQ(s.code(), Status::Code::kOutOfRange) << s.ToString();
+  }
+
+  // The same client's next valid round is still answered, correctly.
+  net::Frame resp;
+  ASSERT_TRUE(
+      client.Call(net::MsgType::kEvalReq, net::EncodeEvalReq(td, 3), &resp)
+          .ok());
+  BitVector bit;
+  ASSERT_TRUE(net::DecodeResultResp(resp.payload, &bit).ok());
+  ASSERT_EQ(bit.size(), 1u);
+  EXPECT_EQ(bit.Get(0), db.ServeEval(td, 3));
+  EXPECT_TRUE(client.Health().ok());
   server.Stop();
 }
 

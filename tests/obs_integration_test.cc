@@ -38,6 +38,10 @@ struct ObsReading {
   uint64_t qscan_tuples;
   uint64_t qfilter_invocations;
   uint64_t spec_waste;
+  uint64_t round_trips;
+  /// Samples in the round-trip latency histogram the calibrator fits; every
+  /// counted round trip must record exactly one.
+  uint64_t round_trip_samples;
 
   static ObsReading Now() {
     auto& reg = obs::MetricsRegistry::Global();
@@ -46,6 +50,8 @@ struct ObsReading {
         reg.GetCounter("qscan.tuples_scanned")->value(),
         reg.GetCounter("qfilter.invocations")->value(),
         reg.GetCounter("probe_sched.speculative_waste")->value(),
+        reg.GetCounter("qpf.round_trips")->value(),
+        reg.GetHistogram("qpf.round_trip_ns")->count(),
     };
   }
 };
@@ -81,6 +87,9 @@ TEST(ObsIntegrationTest, ProbeAndScanCountersReconcileWithSelectionStats) {
                 (after.spec_waste - before.spec_waste),
             stats_uses);
   EXPECT_EQ(after.qfilter_invocations - before.qfilter_invocations, 120u);
+  EXPECT_GT(after.round_trips - before.round_trips, 0u);
+  EXPECT_EQ(after.round_trip_samples - before.round_trip_samples,
+            after.round_trips - before.round_trips);
 }
 
 TEST(ObsIntegrationTest, CoalescedTransportReconcilesTheSameWay) {
@@ -113,6 +122,9 @@ TEST(ObsIntegrationTest, CoalescedTransportReconcilesTheSameWay) {
                 (after.spec_waste - before.spec_waste),
             stats_uses);
   EXPECT_EQ(after.qfilter_invocations - before.qfilter_invocations, 120u);
+  EXPECT_GT(after.round_trips - before.round_trips, 0u);
+  EXPECT_EQ(after.round_trip_samples - before.round_trip_samples,
+            after.round_trips - before.round_trips);
 }
 
 TEST(ObsIntegrationTest, ReplayedWorkloadReconcilesTheSameWay) {

@@ -194,6 +194,10 @@ struct SweepParam {
   size_t rows;
   Value domain;
   bool use_sdb;
+  // The ctest names of this sweep are a byte dump of the parameter, so the
+  // padding after `use_sdb` is an explicit zero field: left implicit, it
+  // picks up whatever bytes the stack held.
+  uint8_t zero_pad[7] = {};
 };
 
 class SelectionPropertyTest : public ::testing::TestWithParam<SweepParam> {};
