@@ -1,5 +1,7 @@
 // Google-benchmark microbenchmarks for the primitive operations underneath
-// the experiments: crypto blocks, QPF evaluation, QFilter, insert placement.
+// the experiments: crypto blocks (AES-NI where present, and the portable
+// fallback), QPF evaluation one cell and one 64-cell batch at a time,
+// QFilter, insert placement.
 // These quantify the constant factors the paper's cost model rests on
 // (one QPF use >> one plain comparison).
 
@@ -25,6 +27,17 @@ void BM_AesEncryptBlock(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AesEncryptBlock);
+
+// The table-lookup fallback EncryptBlock runs where the CPU has no AES-NI.
+void BM_AesEncryptBlockPortable(benchmark::State& state) {
+  crypto::Aes128 aes(crypto::Aes128::Key{1, 2, 3, 4});
+  uint8_t block[16] = {0};
+  for (auto _ : state) {
+    crypto::detail::EncryptBlockPortable(aes, block, block);
+    benchmark::DoNotOptimize(block);
+  }
+}
+BENCHMARK(BM_AesEncryptBlockPortable);
 
 void BM_HmacSha256(benchmark::State& state) {
   crypto::HmacSha256 mac(std::vector<uint8_t>{1, 2, 3});
@@ -57,6 +70,24 @@ void BM_QpfEval(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QpfEval);
+
+// One 64-cell TM entry (the batched scan's default batch): gather, batched
+// CTR decrypt and compare. items_per_second counts cells.
+void BM_TmEvalBatch(benchmark::State& state) {
+  static QpfFixtureState* fixture = new QpfFixtureState();
+  constexpr size_t kCells = 64;
+  std::vector<edbms::TupleId> tids(kCells);
+  edbms::TupleId next = 0;
+  for (auto _ : state) {
+    for (auto& tid : tids) {
+      tid = next;
+      next = (next + 1) % 1000;
+    }
+    benchmark::DoNotOptimize(fixture->db.EvalBatch(fixture->td, tids));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kCells));
+}
+BENCHMARK(BM_TmEvalBatch);
 
 void BM_PlainComparison(benchmark::State& state) {
   // The cost QPF evaluation replaces — the paper's "one cycle" reference.

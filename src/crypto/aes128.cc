@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace prkb::crypto {
 namespace {
 
@@ -72,6 +76,72 @@ inline uint8_t Mul(uint8_t x, uint8_t c) {
   return r;
 }
 
+#if defined(__x86_64__)
+
+// Whether this CPU has AES-NI. Decided once, on first use: a function-local
+// static, with an explicit __builtin_cpu_init() because the order of static
+// initialisers against libgcc's CPU-model constructor is unspecified.
+bool HasAesNi() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") && __builtin_cpu_supports("sse4.1");
+  }();
+  return has;
+}
+
+// AES-NI takes round keys and blocks in FIPS-197 byte order, so the schedule
+// the constructor expands loads as is.
+__attribute__((target("aes,sse4.1"))) void EncryptBlockNi(const uint8_t* rk,
+                                                          const uint8_t* in,
+                                                          uint8_t* out) {
+  const auto* k = reinterpret_cast<const __m128i*>(rk);
+  __m128i b = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+      _mm_loadu_si128(k));
+  for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, _mm_loadu_si128(k + r));
+  b = _mm_aesenclast_si128(b, _mm_loadu_si128(k + 10));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), b);
+}
+
+// Low 64 bits of E_k(nonce || 0) for each nonce. AESENC has a latency of
+// several cycles but issues every cycle or two, so eight independent blocks
+// per round keep the unit busy where one block would stall on its own chain.
+__attribute__((target("aes,sse4.1"))) void KeystreamWordsNi(
+    const uint8_t* rk, const uint64_t* nonces, uint64_t* ks, size_t n) {
+  constexpr size_t kLanes = 8;
+  __m128i k[11];
+  for (int r = 0; r < 11; ++r) {
+    k[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk) + r);
+  }
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    __m128i b[kLanes];
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) {
+      b[j] = _mm_xor_si128(
+          _mm_cvtsi64_si128(static_cast<long long>(nonces[i + j])), k[0]);
+    }
+    for (int r = 1; r < 10; ++r) {
+#pragma GCC unroll 8
+      for (size_t j = 0; j < kLanes; ++j) b[j] = _mm_aesenc_si128(b[j], k[r]);
+    }
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) {
+      ks[i + j] = static_cast<uint64_t>(
+          _mm_cvtsi128_si64(_mm_aesenclast_si128(b[j], k[10])));
+    }
+  }
+  for (; i < n; ++i) {
+    __m128i b = _mm_xor_si128(
+        _mm_cvtsi64_si128(static_cast<long long>(nonces[i])), k[0]);
+    for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, k[r]);
+    ks[i] = static_cast<uint64_t>(
+        _mm_cvtsi128_si64(_mm_aesenclast_si128(b, k[10])));
+  }
+}
+
+#endif  // defined(__x86_64__)
+
 }  // namespace
 
 Aes128::Aes128(const Key& key) {
@@ -94,10 +164,13 @@ Aes128::Aes128(const Key& key) {
   }
 }
 
-void Aes128::EncryptBlock(const uint8_t in[kBlockSize],
-                          uint8_t out[kBlockSize]) const {
+namespace detail {
+
+void EncryptBlockPortable(const Aes128& aes, const uint8_t in[16],
+                          uint8_t out[16]) {
+  const uint8_t* rk = aes.round_keys_.data();
   uint8_t s[16];
-  for (int i = 0; i < 16; ++i) s[i] = static_cast<uint8_t>(in[i] ^ round_keys_[i]);
+  for (int i = 0; i < 16; ++i) s[i] = static_cast<uint8_t>(in[i] ^ rk[i]);
 
   for (int round = 1; round <= 10; ++round) {
     // SubBytes.
@@ -124,9 +197,38 @@ void Aes128::EncryptBlock(const uint8_t in[kBlockSize],
       std::memcpy(s, t, 16);
     }
     // AddRoundKey.
-    for (int i = 0; i < 16; ++i) s[i] ^= round_keys_[round * 16 + i];
+    for (int i = 0; i < 16; ++i) s[i] ^= rk[round * 16 + i];
   }
   std::memcpy(out, s, 16);
+}
+
+}  // namespace detail
+
+void Aes128::EncryptBlock(const uint8_t in[kBlockSize],
+                          uint8_t out[kBlockSize]) const {
+#if defined(__x86_64__)
+  if (HasAesNi()) {
+    EncryptBlockNi(round_keys_.data(), in, out);
+    return;
+  }
+#endif
+  detail::EncryptBlockPortable(*this, in, out);
+}
+
+void Aes128::KeystreamWords(const uint64_t* nonces, uint64_t* ks,
+                            size_t n) const {
+#if defined(__x86_64__)
+  if (HasAesNi()) {
+    KeystreamWordsNi(round_keys_.data(), nonces, ks, n);
+    return;
+  }
+#endif
+  for (size_t i = 0; i < n; ++i) {
+    uint8_t block[kBlockSize] = {};
+    std::memcpy(block, &nonces[i], 8);
+    detail::EncryptBlockPortable(*this, block, block);
+    std::memcpy(&ks[i], block, 8);
+  }
 }
 
 void Aes128::DecryptBlock(const uint8_t in[kBlockSize],

@@ -19,9 +19,17 @@ class AesCtr {
   /// into `data` in place.
   void Crypt(uint64_t nonce, uint8_t* data, size_t n) const;
 
-  /// Convenience: encrypts/decrypts a single 64-bit word. This is the hot
-  /// path of the EDBMS — one AES block op per attribute value.
+  /// Convenience: encrypts/decrypts a single 64-bit word, one AES block op
+  /// per attribute value. The data owner's encrypt and the TM's scalar entry
+  /// use it; the TM's batch entries use KeystreamWords.
   uint64_t CryptWord(uint64_t nonce, uint64_t word) const;
+
+  /// Batch form of CryptWord's keystream: ks[i] is the word CryptWord(
+  /// nonces[i], w) XORs into w. Eight blocks per step on AES-NI; see
+  /// Aes128::KeystreamWords. `ks` may be `nonces` itself (in-place).
+  void KeystreamWords(const uint64_t* nonces, uint64_t* ks, size_t n) const {
+    aes_.KeystreamWords(nonces, ks, n);
+  }
 
  private:
   Aes128 aes_;

@@ -1,7 +1,9 @@
 #ifndef PRKB_EDBMS_ENCRYPTION_H_
 #define PRKB_EDBMS_ENCRYPTION_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/cipher.h"
@@ -33,6 +35,24 @@ class ValueCrypter {
   /// Recovers the plain value.
   Value Decrypt(const EncValue& ev) const {
     return static_cast<Value>(ctr_.CryptWord(ev.nonce, ev.ct));
+  }
+
+  /// Lanes per keystream step of DecryptBatch; the TM decrypts a batch entry
+  /// in chunks of this many cells.
+  static constexpr size_t kBatchLanes = 64;
+
+  /// out[i] = Decrypt(*cells[i]) for every cell, with the keystream computed
+  /// several blocks at a time (AesCtr::KeystreamWords).
+  void DecryptBatch(std::span<const EncValue* const> cells, Value* out) const {
+    uint64_t ks[kBatchLanes] = {};
+    for (size_t base = 0; base < cells.size(); base += kBatchLanes) {
+      const size_t n = std::min(kBatchLanes, cells.size() - base);
+      for (size_t i = 0; i < n; ++i) ks[i] = cells[base + i]->nonce;
+      ctr_.KeystreamWords(ks, ks, n);
+      for (size_t i = 0; i < n; ++i) {
+        out[base + i] = static_cast<Value>(cells[base + i]->ct ^ ks[i]);
+      }
+    }
   }
 
  private:

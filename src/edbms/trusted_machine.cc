@@ -1,5 +1,7 @@
 #include "edbms/trusted_machine.h"
 
+#include <algorithm>
+#include <bit>
 #include <mutex>
 
 #include "common/latency.h"
@@ -26,6 +28,25 @@ struct TmMetrics {
   }
 };
 
+// Cells per decrypt step in the batch entries; one chunk's outcomes fill one
+// 64-bit mask.
+constexpr size_t kLanes = ValueCrypter::kBatchLanes;
+static_assert(kLanes <= 64);
+
+// Sets bit base + i of `out` for each set bit i of `hits`. A batch entry
+// collects a chunk's outcomes into `hits` first: they are data-dependent, so
+// branching on each one would mispredict about every other lane.
+void SetHits(BitVector* out, size_t base, uint64_t hits) {
+  for (; hits != 0; hits &= hits - 1) out->Set(base + std::countr_zero(hits));
+}
+
+// Whether two lanes carry the same trapdoor, so Open would give both the
+// same answer.
+bool SameTrapdoor(const Trapdoor& a, const Trapdoor& b) {
+  return &a == &b || (a.uid == b.uid && a.attr == b.attr &&
+                      a.kind == b.kind && a.blob == b.blob);
+}
+
 std::vector<uint8_t> SeedBytes(uint64_t seed) {
   std::vector<uint8_t> out(8);
   for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(seed >> (8 * i));
@@ -42,35 +63,30 @@ TrustedMachine::TrustedMachine(uint64_t master_seed)
 
 void TrustedMachine::SimulateLatency() const { latency_.Apply(); }
 
-const TrapdoorPayload* TrustedMachine::Open(const Trapdoor& td) {
+bool TrustedMachine::Open(const Trapdoor& td, PlainPredicate* out) {
   {
     std::shared_lock<std::shared_mutex> lock(verified_mu_);
     auto it = verified_.find(td.uid);
-    if (it != verified_.end()) return &it->second;
+    if (it != verified_.end()) {
+      const Verified& v = it->second;
+      if (v.pred.attr == td.attr && v.pred.kind == td.kind &&
+          std::equal(td.blob.begin(), td.blob.end(), v.blob.begin(),
+                     v.blob.end())) {
+        *out = v.pred;
+        return true;
+      }
+    }
   }
-  TrapdoorPayload payload;
-  if (!OpenTrapdoor(trapdoor_cipher_, trapdoor_mac_, td, &payload)) {
-    return nullptr;
-  }
+  TrapdoorPayload p;
+  if (!OpenTrapdoor(trapdoor_cipher_, trapdoor_mac_, td, &p)) return false;
+  *out = PlainPredicate{
+      .attr = td.attr, .kind = td.kind, .op = p.op, .lo = p.lo, .hi = p.hi};
+  Verified v{{}, *out};
+  // OpenTrapdoor accepts only blobs of exactly kTrapdoorBlobSize bytes.
+  std::copy(td.blob.begin(), td.blob.end(), v.blob.begin());
   std::unique_lock<std::shared_mutex> lock(verified_mu_);
-  return &verified_.try_emplace(td.uid, payload).first->second;
-}
-
-bool TrustedMachine::Compare(const TrapdoorPayload& p, PredicateKind kind,
-                             const EncValue& cell) const {
-  const Value v = crypter_.Decrypt(cell);
-  if (kind == PredicateKind::kBetween) return p.lo <= v && v <= p.hi;
-  switch (p.op) {
-    case CompareOp::kLt:
-      return v < p.lo;
-    case CompareOp::kGt:
-      return v > p.lo;
-    case CompareOp::kLe:
-      return v <= p.lo;
-    case CompareOp::kGe:
-      return v >= p.lo;
-  }
-  return false;
+  verified_.try_emplace(td.uid, v);
+  return true;
 }
 
 bool TrustedMachine::EvalPredicate(const Trapdoor& td, const EncValue& cell,
@@ -80,13 +96,13 @@ bool TrustedMachine::EvalPredicate(const Trapdoor& td, const EncValue& cell,
   TmMetrics::Get().entries->Add(1);
   TmMetrics::Get().evals->Add(1);
   SimulateLatency();
-  const TrapdoorPayload* p = Open(td);
-  if (p == nullptr) {
+  PlainPredicate pred;
+  if (!Open(td, &pred)) {
     if (ok != nullptr) *ok = false;
     return false;
   }
   if (ok != nullptr) *ok = true;
-  return Compare(*p, td.kind, cell);
+  return pred.Satisfies(crypter_.Decrypt(cell));
 }
 
 BitVector TrustedMachine::EvalPredicateBatch(
@@ -99,14 +115,21 @@ BitVector TrustedMachine::EvalPredicateBatch(
   m.evals->Add(cells.size());
   m.batch_cells->Record(cells.size());
   SimulateLatency();  // the whole batch travels in one round trip
-  const TrapdoorPayload* p = Open(td);
-  if (p == nullptr) {
+  PlainPredicate pred;
+  if (!Open(td, &pred)) {
     if (ok != nullptr) *ok = false;
     return out;
   }
   if (ok != nullptr) *ok = true;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    out.Assign(i, Compare(*p, td.kind, *cells[i]));
+  Value v[kLanes] = {};
+  for (size_t base = 0; base < cells.size(); base += kLanes) {
+    const size_t n = std::min(kLanes, cells.size() - base);
+    crypter_.DecryptBatch(cells.subspan(base, n), v);
+    uint64_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      hits |= uint64_t{pred.Satisfies(v[i])} << i;
+    }
+    SetHits(&out, base, hits);
   }
   return out;
 }
@@ -122,14 +145,30 @@ BitVector TrustedMachine::EvalPredicateMulti(
   m.evals->Add(cells.size());
   m.batch_cells->Record(cells.size());
   SimulateLatency();  // the whole fused round travels in one round trip
+  // Lanes of one search sit next to each other, so each run of lanes under
+  // the same trapdoor opens it once.
   bool all_ok = true;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const TrapdoorPayload* p = Open(*tds[i]);
-    if (p == nullptr) {
-      all_ok = false;
-      continue;  // lane stays false
+  const Trapdoor* open_td = nullptr;
+  PlainPredicate pred;
+  bool pred_ok = false;
+  Value v[kLanes] = {};
+  for (size_t base = 0; base < cells.size(); base += kLanes) {
+    const size_t n = std::min(kLanes, cells.size() - base);
+    crypter_.DecryptBatch(cells.subspan(base, n), v);
+    uint64_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const Trapdoor& td = *tds[base + i];
+      if (open_td == nullptr || !SameTrapdoor(td, *open_td)) {
+        pred_ok = Open(td, &pred);
+        open_td = &td;
+      }
+      if (!pred_ok) {
+        all_ok = false;
+        continue;  // lane stays false
+      }
+      hits |= uint64_t{pred.Satisfies(v[i])} << i;
     }
-    out.Assign(i, Compare(*p, tds[i]->kind, *cells[i]));
+    SetHits(&out, base, hits);
   }
   if (ok != nullptr) *ok = all_ok;
   return out;

@@ -1,6 +1,7 @@
 #ifndef PRKB_EDBMS_TRUSTED_MACHINE_H_
 #define PRKB_EDBMS_TRUSTED_MACHINE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <shared_mutex>
@@ -23,16 +24,19 @@ namespace prkb::edbms {
 /// one bit per predicate evaluation.
 ///
 /// Substitution note (see DESIGN.md): the paper runs this on an FPGA /
-/// crypto-coprocessor. Here the decrypt-and-compare really happens (portable
-/// AES), and an optional fixed per-entry latency emulates the hardware round
-/// trip. Both the paper's cost metrics are preserved: the call count, and a
-/// per-call cost that dwarfs a plain comparison.
+/// crypto-coprocessor. Here the decrypt-and-compare really happens (AES-NI
+/// where the CPU has it, the portable table-lookup AES otherwise; see
+/// crypto/aes128.h), and an optional fixed per-entry latency emulates the
+/// hardware round trip. Both the paper's cost metrics are preserved: the
+/// call count, and a per-call cost well above a plain comparison.
 ///
 /// Entries come in two granularities: scalar EvalPredicate (one round trip
-/// per tuple) and EvalPredicateBatch (one round trip for a whole ciphertext
-/// batch, bulk AES-CTR decrypt inside). Counters are atomic and the verified
-/// trapdoor cache is lock-protected so parallel scan workers can drive one TM
-/// concurrently.
+/// per tuple) and the batch entries EvalPredicateBatch/Multi (one round trip
+/// for a whole ciphertext batch). A batch entry decrypts its cells in chunks
+/// of ValueCrypter::kBatchLanes with a batched CTR keystream, then applies
+/// the same plain predicate the scalar entry does, so all three give the
+/// same bits. Counters are atomic and the verified trapdoor cache is
+/// lock-protected so parallel scan workers can drive one TM concurrently.
 class TrustedMachine {
  public:
   /// Provisioned with the same seed as the data owner.
@@ -108,22 +112,28 @@ class TrustedMachine {
   }
 
  private:
+  /// A trapdoor whose MAC has been checked: its sealed blob, and the plain
+  /// predicate it opens to (attr and kind from the MAC-bound header).
+  struct Verified {
+    std::array<uint8_t, kTrapdoorBlobSize> blob;
+    PlainPredicate pred;
+  };
+
   void SimulateLatency() const;
-  /// Opens (or fetches from the verified cache) the plain form of `td`.
-  const TrapdoorPayload* Open(const Trapdoor& td);
-  /// Decrypt-and-compare of one cell under an opened trapdoor.
-  bool Compare(const TrapdoorPayload& p, PredicateKind kind,
-               const EncValue& cell) const;
+  /// Writes the plain predicate of `td` to `*out`: from the verified cache
+  /// when this exact trapdoor (uid, attr, kind and blob) was opened before,
+  /// else by checking its MAC. Returns false on a forged trapdoor, including
+  /// one that reuses a verified trapdoor's uid.
+  bool Open(const Trapdoor& td, PlainPredicate* out);
 
   crypto::Prf prf_;
   ValueCrypter crypter_;
   crypto::AesCtr trapdoor_cipher_;
   crypto::HmacSha256 trapdoor_mac_;
   // Verified trapdoors, keyed by uid: MAC verification happens once per
-  // trapdoor, not once per tuple. Guarded for parallel scan workers;
-  // unordered_map never moves values, so returned pointers stay valid.
+  // trapdoor, not once per tuple. Guarded for parallel scan workers.
   std::shared_mutex verified_mu_;
-  std::unordered_map<uint64_t, TrapdoorPayload> verified_;
+  std::unordered_map<uint64_t, Verified> verified_;
   std::atomic<uint64_t> predicate_evals_{0};
   std::atomic<uint64_t> value_decrypts_{0};
   std::atomic<uint64_t> round_trips_{0};

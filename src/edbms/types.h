@@ -25,8 +25,9 @@ enum class CompareOp : uint8_t { kLt = 0, kGt = 1, kLe = 2, kGe = 3 };
 /// Predicate families the SP *can* distinguish (different algorithms).
 enum class PredicateKind : uint8_t { kComparison = 0, kBetween = 1 };
 
-/// Plaintext form of a predicate. Exists only on the data-owner side and in
-/// test oracles; the service provider never sees one.
+/// Plaintext form of a predicate. Exists only on the data-owner side, inside
+/// the trusted machine once it has opened a trapdoor, and in test oracles;
+/// the service provider never sees one.
 struct PlainPredicate {
   AttrId attr = 0;
   PredicateKind kind = PredicateKind::kComparison;

@@ -523,14 +523,13 @@ PlanNode BuildPredicateNode(const core::PrkbIndex& index, const Plan& plan,
   CostEstimate full;
   bool cached = false;
   if (estimate) {
-    const core::PrkbIndex::ChainStats st = index.StatsFor(td.attr);
-    full = between ? EstimateBetween(st.k, st.tuples, cc)
-                   : EstimateComparison(st.k, st.tuples, cc);
+    const core::Pop& pop = index.pop(td.attr);
+    full = between ? EstimateBetween(pop.k(), pop.num_tuples(), cc)
+                   : EstimateComparison(pop.k(), pop.num_tuples(), cc);
     // Plan-time peek (no metrics): an already-cut trapdoor answers from the
     // chain alone. Hit/miss accounting happens at execution only.
     if (index.options().fast_path &&
-        index.pop(td.attr).LookupFastPath(core::FingerprintTrapdoor(td)) !=
-            nullptr) {
+        pop.LookupFastPath(core::FingerprintTrapdoor(td)) != nullptr) {
       full = CostEstimate{};
       cached = true;
       node.detail = "cached";
@@ -645,20 +644,19 @@ void BuildMdGridPlan(const core::PrkbIndex& index, Plan* plan, bool estimate) {
     }
     PlanNode child(PlanOp::kQFilterProbe, td.attr, static_cast<int>(i));
     if (estimate) {
-      const core::PrkbIndex::ChainStats st = index.StatsFor(td.attr);
+      const core::Pop& pop = index.pop(td.attr);
       bool cached =
           index.options().fast_path &&
-          index.pop(td.attr).LookupFastPath(core::FingerprintTrapdoor(td)) !=
-              nullptr;
+          pop.LookupFastPath(core::FingerprintTrapdoor(td)) != nullptr;
       if (cached) {
         child.detail = "cached";
       } else {
-        dims.push_back(MdDim{st.k, st.tuples});
+        dims.push_back(MdDim{pop.k(), pop.num_tuples()});
         // Per-dimension filter trips; the root pays only the fused max.
         child.estimated = CostEstimate{
-            EstimateComparison(st.k, st.tuples, cc).probes, 0.0,
-            std::min(static_cast<double>(st.k),
-                     1.0 + CeilLogM(st.k, cc.probe_fanout))};
+            EstimateComparison(pop.k(), pop.num_tuples(), cc).probes, 0.0,
+            std::min(static_cast<double>(pop.k()),
+                     1.0 + CeilLogM(pop.k(), cc.probe_fanout))};
       }
       child.has_estimate = true;
     }

@@ -1,4 +1,5 @@
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,8 @@ TEST(Aes128Test, Fips197AppendixC1) {
   uint8_t ct[16];
   aes.EncryptBlock(pt, ct);
   EXPECT_EQ(ToHex(ct, 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
+  detail::EncryptBlockPortable(aes, pt, ct);
+  EXPECT_EQ(ToHex(ct, 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
   uint8_t back[16];
   aes.DecryptBlock(ct, back);
   EXPECT_EQ(0, std::memcmp(back, pt, 16));
@@ -58,6 +61,41 @@ TEST(Aes128Test, Fips197AppendixB) {
   uint8_t ct[16];
   aes.EncryptBlock(pt.data(), ct);
   EXPECT_EQ(ToHex(ct, 16), "3925841d02dc09fbdc118597196a0b32");
+  detail::EncryptBlockPortable(aes, pt.data(), ct);
+  EXPECT_EQ(ToHex(ct, 16), "3925841d02dc09fbdc118597196a0b32");
+}
+
+// EncryptBlock runs on AES-NI where the CPU has it; the portable table
+// implementation is the fallback elsewhere. Both must give the same bits, for
+// single blocks and for the batched CTR keystream.
+TEST(Aes128Test, DispatchedPathMatchesPortableOnRandomKeys) {
+  std::mt19937_64 rng(0xAE5);
+  for (int k = 0; k < 64; ++k) {
+    Aes128::Key key;
+    for (auto& b : key) b = static_cast<uint8_t>(rng());
+    const Aes128 aes(key);
+    std::vector<uint64_t> nonces(1000);
+    for (int i = 0; i < 1000; ++i) {
+      uint8_t in[16];
+      for (auto& b : in) b = static_cast<uint8_t>(rng());
+      uint8_t got[16], want[16];
+      aes.EncryptBlock(in, got);
+      detail::EncryptBlockPortable(aes, in, want);
+      ASSERT_EQ(ToHex(got, 16), ToHex(want, 16)) << "key " << k << " block "
+                                                 << i;
+      nonces[i] = rng();
+    }
+    std::vector<uint64_t> ks(nonces.size());
+    aes.KeystreamWords(nonces.data(), ks.data(), nonces.size());
+    for (size_t i = 0; i < nonces.size(); ++i) {
+      uint8_t block[16] = {};
+      std::memcpy(block, &nonces[i], 8);
+      detail::EncryptBlockPortable(aes, block, block);
+      uint64_t want;
+      std::memcpy(&want, block, 8);
+      ASSERT_EQ(ks[i], want) << "key " << k << " lane " << i;
+    }
+  }
 }
 
 TEST(Aes128Test, EncryptDecryptRoundTripRandomBlocks) {
@@ -116,6 +154,24 @@ TEST(AesCtrTest, CryptWordMatchesCryptBuffer) {
   uint64_t enc_buf;
   std::memcpy(&enc_buf, buf, 8);
   EXPECT_EQ(enc_word, enc_buf);
+}
+
+// The batch keystream is CryptWord's keystream lane by lane, at sizes that
+// cover the eight-block step and its tail, and when written over its input.
+TEST(AesCtrTest, KeystreamWordsMatchesCryptWordPerLane) {
+  AesCtr ctr(Aes128::Key{5, 4, 3, 2, 1});
+  std::mt19937_64 rng(42);
+  for (size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 1000}) {
+    std::vector<uint64_t> nonces(n);
+    for (auto& x : nonces) x = rng();
+    std::vector<uint64_t> ks(n, 0xDEAD);
+    ctr.KeystreamWords(nonces.data(), ks.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(ks[i], ctr.CryptWord(nonces[i], 0)) << "n=" << n << " i=" << i;
+    }
+    ctr.KeystreamWords(nonces.data(), nonces.data(), n);  // in place
+    EXPECT_EQ(nonces, ks) << "n=" << n;
+  }
 }
 
 TEST(AesEcbTest, MultiBlockRoundTrip) {

@@ -1,9 +1,13 @@
+#include <random>
+#include <thread>
 #include <vector>
 
 #include "edbms/cipherbase_qpf.h"
 #include "edbms/sdb_qpf.h"
 #include "edbms/service_provider.h"
+#include "edbms/trusted_machine.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 
 namespace prkb::edbms {
 namespace {
@@ -96,6 +100,223 @@ TEST(EncryptionTest, TrapdoorBoundToAttrAndKind) {
   bool ok = true;
   tm.EvalPredicate(td, owner.EncryptRow({1, 1})[0], &ok);
   EXPECT_FALSE(ok);
+}
+
+// -------------------------------------------------------- Trusted machine
+
+// Batch sizes around the TM's 8-block keystream step and 64-cell chunk.
+constexpr size_t kBatchSizes[] = {0, 1, 7, 8, 9, 63, 64, 65, 1000};
+
+// Cells drawn from a narrow range so ties with the constants occur, with
+// their plaintexts for the oracle, and one trapdoor per comparison operator
+// plus a BETWEEN.
+struct TmFixture {
+  DataOwner owner{kSeed};
+  TrustedMachine tm{kSeed};
+  std::vector<Value> plain;
+  std::vector<EncValue> enc;
+  std::vector<PlainPredicate> preds;
+  std::vector<Trapdoor> tds;
+
+  TmFixture() {
+    std::mt19937_64 rng(7);
+    for (size_t i = 0; i < 1000; ++i) {
+      plain.push_back(static_cast<Value>(rng() % 41) - 20);
+      enc.push_back(owner.EncryptRow({plain.back()})[0]);
+    }
+    for (CompareOp op : {CompareOp::kLt, CompareOp::kGt, CompareOp::kLe,
+                         CompareOp::kGe}) {
+      preds.push_back(PlainPredicate{.attr = 0, .op = op, .lo = 3});
+      tds.push_back(owner.MakeComparison(0, op, 3));
+    }
+    preds.push_back(PlainPredicate{
+        .attr = 0, .kind = PredicateKind::kBetween, .lo = -5, .hi = 5});
+    tds.push_back(owner.MakeBetween(0, -5, 5));
+  }
+
+  std::vector<const EncValue*> Cells(size_t n) const {
+    std::vector<const EncValue*> cells;
+    for (size_t i = 0; i < n; ++i) cells.push_back(&enc[i]);
+    return cells;
+  }
+};
+
+// Snapshot of every counter a TM entry moves.
+struct TmCounts {
+  uint64_t evals, trips, entries, tm_evals, batches;
+
+  static TmCounts Of(const TrustedMachine& tm) {
+    auto& reg = obs::MetricsRegistry::Global();
+    return {tm.predicate_evals(), tm.round_trips(),
+            reg.GetCounter("tm.entries")->value(),
+            reg.GetCounter("tm.evals")->value(),
+            reg.GetHistogram("tm.batch_cells")->count()};
+  }
+  TmCounts operator-(const TmCounts& o) const {
+    return {evals - o.evals, trips - o.trips, entries - o.entries,
+            tm_evals - o.tm_evals, batches - o.batches};
+  }
+};
+
+void ExpectCounts(const TmCounts& got, uint64_t evals, uint64_t entries,
+                  uint64_t batches) {
+  EXPECT_EQ(got.evals, evals);
+  EXPECT_EQ(got.trips, entries);
+  EXPECT_EQ(got.entries, entries);
+  EXPECT_EQ(got.tm_evals, evals);
+  EXPECT_EQ(got.batches, batches);
+}
+
+TEST(TrustedMachineTest, BatchEntriesMatchScalarForEveryOperatorAndSize) {
+  TmFixture f;
+  for (size_t n : kBatchSizes) {
+    const auto cells = f.Cells(n);
+    for (size_t p = 0; p < f.tds.size(); ++p) {
+      const Trapdoor& td = f.tds[p];
+      TmCounts before = TmCounts::Of(f.tm);
+      BitVector scalar(n);
+      for (size_t i = 0; i < n; ++i) {
+        bool ok = false;
+        scalar.Assign(i, f.tm.EvalPredicate(td, *cells[i], &ok));
+        ASSERT_TRUE(ok);
+        ASSERT_EQ(scalar.Get(i), f.preds[p].Satisfies(f.plain[i]))
+            << f.preds[p].ToString() << " i=" << i;
+      }
+      ExpectCounts(TmCounts::Of(f.tm) - before, n, n, 0);
+
+      before = TmCounts::Of(f.tm);
+      bool ok = false;
+      EXPECT_EQ(f.tm.EvalPredicateBatch(td, cells, &ok), scalar)
+          << f.preds[p].ToString() << " n=" << n;
+      EXPECT_TRUE(ok);
+      ExpectCounts(TmCounts::Of(f.tm) - before, n, 1, 1);
+
+      const std::vector<const Trapdoor*> same(n, &td);
+      before = TmCounts::Of(f.tm);
+      ok = false;
+      EXPECT_EQ(f.tm.EvalPredicateMulti(same, cells, &ok), scalar)
+          << f.preds[p].ToString() << " n=" << n;
+      EXPECT_TRUE(ok);
+      ExpectCounts(TmCounts::Of(f.tm) - before, n, 1, 1);
+    }
+  }
+}
+
+TEST(TrustedMachineTest, MultiWithMixedTrapdoorsMatchesScalar) {
+  TmFixture f;
+  std::mt19937_64 rng(11);
+  for (size_t n : kBatchSizes) {
+    // Runs of 1..9 lanes under one trapdoor, as fused probe rounds send
+    // them, with some runs handed over as separate copies of the trapdoor.
+    std::vector<Trapdoor> copies(f.tds);
+    std::vector<const Trapdoor*> tds;
+    while (tds.size() < n) {
+      const size_t p = rng() % f.tds.size();
+      const Trapdoor* td = rng() % 2 == 0 ? &f.tds[p] : &copies[p];
+      for (size_t run = 1 + rng() % 9; run > 0 && tds.size() < n; --run) {
+        tds.push_back(td);
+      }
+    }
+    const auto cells = f.Cells(n);
+    BitVector scalar(n);
+    for (size_t i = 0; i < n; ++i) {
+      scalar.Assign(i, f.tm.EvalPredicate(*tds[i], *cells[i]));
+    }
+    const TmCounts before = TmCounts::Of(f.tm);
+    bool ok = false;
+    EXPECT_EQ(f.tm.EvalPredicateMulti(tds, cells, &ok), scalar) << "n=" << n;
+    EXPECT_TRUE(ok);
+    ExpectCounts(TmCounts::Of(f.tm) - before, n, 1, 1);
+  }
+}
+
+// A forged trapdoor that reuses a verified trapdoor's uid, placed inside a
+// run of that trapdoor's lanes, fails its own lanes only. The verified cache
+// vouches for the exact trapdoor it checked, not for its uid.
+TEST(TrustedMachineTest, ForgedLaneInsideARunOfItsUidFailsAlone) {
+  TmFixture f;
+  const Trapdoor& good = f.tds[0];
+  Trapdoor forged = good;
+  forged.blob[10] ^= 0xFF;
+  Trapdoor relabeled = good;
+  relabeled.kind = PredicateKind::kBetween;
+
+  const size_t n = 70;
+  std::vector<const Trapdoor*> tds(n, &good);
+  tds[10] = &forged;
+  tds[11] = &forged;
+  tds[40] = &relabeled;
+  const auto cells = f.Cells(n);
+  bool ok = true;
+  const BitVector got = f.tm.EvalPredicateMulti(tds, cells, &ok);
+  EXPECT_FALSE(ok);
+  for (size_t i = 0; i < n; ++i) {
+    const bool want =
+        tds[i] == &good && f.preds[0].Satisfies(f.plain[i]);
+    EXPECT_EQ(got.Get(i), want) << "lane " << i;
+  }
+
+  // The scalar and batch entries refuse them too, after `good` is cached.
+  ok = true;
+  EXPECT_FALSE(f.tm.EvalPredicate(forged, *cells[0], &ok));
+  EXPECT_FALSE(ok);
+  ok = true;
+  EXPECT_EQ(f.tm.EvalPredicateBatch(relabeled, cells, &ok).Count(), 0u);
+  EXPECT_FALSE(ok);
+  ok = false;
+  f.tm.EvalPredicate(good, *cells[0], &ok);
+  EXPECT_TRUE(ok);
+}
+
+// Four threads open freshly issued trapdoors at once, so Open's insert path
+// races its shared-lock lookup (run under TSan in CI).
+TEST(TrustedMachineTest, ConcurrentBatchAndMultiEntriesStayExact) {
+  TmFixture f;
+  std::vector<Trapdoor> fresh;
+  std::vector<PlainPredicate> preds;
+  for (int round = 0; round < 8; ++round) {
+    for (size_t p = 0; p < f.preds.size(); ++p) {
+      PlainPredicate pred = f.preds[p];
+      pred.lo += round;
+      pred.hi += round;
+      preds.push_back(pred);
+      fresh.push_back(pred.kind == PredicateKind::kBetween
+                          ? f.owner.MakeBetween(0, pred.lo, pred.hi)
+                          : f.owner.MakeComparison(0, pred.op, pred.lo));
+    }
+  }
+  const auto cells = f.Cells(200);
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < fresh.size(); ++k) {
+        const size_t j = (k + static_cast<size_t>(t) * 5) % fresh.size();
+        const size_t j2 = (j + 1) % fresh.size();
+        bool ok = false;
+        const BitVector batch = f.tm.EvalPredicateBatch(fresh[j], cells, &ok);
+        mismatches[t] += ok ? 0 : 1;
+        // Multi: first half of the lanes under j, second half under j2.
+        std::vector<const Trapdoor*> tds(cells.size(), &fresh[j]);
+        for (size_t i = cells.size() / 2; i < cells.size(); ++i) {
+          tds[i] = &fresh[j2];
+        }
+        const BitVector multi = f.tm.EvalPredicateMulti(tds, cells, &ok);
+        mismatches[t] += ok ? 0 : 1;
+        for (size_t i = 0; i < cells.size(); ++i) {
+          const bool half2 = i >= cells.size() / 2;
+          mismatches[t] += batch.Get(i) != preds[j].Satisfies(f.plain[i]);
+          mismatches[t] +=
+              multi.Get(i) != preds[half2 ? j2 : j].Satisfies(f.plain[i]);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+  EXPECT_EQ(f.tm.predicate_evals(), kThreads * fresh.size() * 2 * 200);
+  EXPECT_EQ(f.tm.round_trips(), kThreads * fresh.size() * 2);
 }
 
 // --------------------------------------------------------------- Backends
