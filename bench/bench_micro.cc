@@ -1,11 +1,14 @@
 // Google-benchmark microbenchmarks for the primitive operations underneath
 // the experiments: crypto blocks (AES-NI where present, and the portable
 // fallback), QPF evaluation one cell and one 64-cell batch at a time,
-// QFilter, insert placement.
+// QFilter, insert placement (on a comparison-only chain and on a mixed
+// comparison/BETWEEN chain) and a 2-attribute PRKB(MD) box on warm chains.
 // These quantify the constant factors the paper's cost model rests on
 // (one QPF use >> one plain comparison).
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "crypto/aes128.h"
 #include "crypto/hmac.h"
@@ -160,6 +163,77 @@ void BM_InsertPlacement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InsertPlacement);
+
+/// Two attributes over 20 000 rows, each chain warmed past k = 1000 by a mix
+/// of comparisons, BETWEEN bands and 2-attribute MD boxes — the chain shape
+/// the ledger's SQL workload builds. BETWEEN cuts make insert placement
+/// reach the general (worst-case separator) pick path, which the
+/// comparison-only chain above never does.
+struct MixedWarmIndexState {
+  edbms::CipherbaseEdbms db;
+  core::PrkbIndex index;
+  workload::QueryGen gen;
+
+  MixedWarmIndexState()
+      : db(MakeDb()), index(&db, core::PrkbOptions{.seed = 3}),
+        gen(1, 30'000'000, 7) {
+    index.EnableAttr(0);
+    index.EnableAttr(1);
+    Rng rng(8);
+    for (int i = 0; index.pop(0).k() < 1000 || index.pop(1).k() < 1000; ++i) {
+      const edbms::AttrId attr = i % 2;
+      if (i % 5 == 4) {
+        std::vector<edbms::Trapdoor> tds;
+        for (const auto& p : gen.RandomBox({0, 1}, 0.3)) {
+          tds.push_back(db.MakeComparison(p.attr, p.op, p.lo));
+        }
+        index.SelectRangeMd(tds);
+      } else if (i % 5 >= 2) {
+        const edbms::Value lo = rng.UniformInt64(1, 29'000'000);
+        index.Select(db.MakeBetween(attr, lo, lo + 1'000'000));
+      } else {
+        const auto p = gen.RandomComparison(attr);
+        index.Select(db.MakeComparison(p.attr, p.op, p.lo));
+      }
+    }
+  }
+
+  static edbms::CipherbaseEdbms MakeDb() {
+    workload::SyntheticSpec spec;
+    spec.rows = 20000;
+    spec.attrs = 2;
+    spec.seed = 4;
+    return edbms::CipherbaseEdbms::FromPlainTable(
+        1, workload::MakeSyntheticTable(spec));
+  }
+};
+
+/// One eager 2-attribute insert: a placement search per chain. Each
+/// benchmark below owns its index and runs a fixed iteration count, so the
+/// chains it measures do not depend on how fast earlier iterations ran.
+void BM_InsertPlacementMixedChain(benchmark::State& state) {
+  static auto* s = new MixedWarmIndexState();
+  Rng rng(12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s->index.Insert(
+        {rng.UniformInt64(1, 30'000'000), rng.UniformInt64(1, 30'000'000)}));
+  }
+  state.counters["k"] = static_cast<double>(s->index.pop(0).k());
+}
+BENCHMARK(BM_InsertPlacementMixedChain)->Iterations(4000);
+
+/// One fresh 2-attribute PRKB(MD) box (30% per dimension) on warm chains.
+void BM_MdSelectWarm(benchmark::State& state) {
+  static auto* s = new MixedWarmIndexState();
+  for (auto _ : state) {
+    std::vector<edbms::Trapdoor> tds;
+    for (const auto& p : s->gen.RandomBox({0, 1}, 0.3)) {
+      tds.push_back(s->db.MakeComparison(p.attr, p.op, p.lo));
+    }
+    benchmark::DoNotOptimize(s->index.SelectRangeMd(tds));
+  }
+}
+BENCHMARK(BM_MdSelectWarm)->Iterations(400);
 
 }  // namespace
 }  // namespace prkb::bench

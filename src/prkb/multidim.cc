@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <unordered_map>
 
 #include "common/bitvector.h"
@@ -62,8 +63,10 @@ struct PredCtx {
   QFilterResult filter;
 
   /// Known homogeneous QPF output per partition id (sure-True / sure-False
-  /// partitions from QFilter, plus labels learned during the query).
-  std::unordered_map<PartitionId, int8_t> label_by_pid;
+  /// partitions from QFilter, plus labels learned during the query): 1, 0,
+  /// or -1 for unknown. Flat and pid-indexed, so classifying a tuple costs
+  /// two array reads (partition_of, then this) rather than a hash lookup.
+  std::vector<int8_t> label_by_pid;
 
   /// The (at most two) Not-Sure partitions.
   struct Ns {
@@ -76,6 +79,16 @@ struct PredCtx {
   Ns ns[2];
   int ns_count = 0;
 
+  int8_t LabelOf(PartitionId pid) const {
+    return pid < label_by_pid.size() ? label_by_pid[pid] : -1;
+  }
+  /// Records `label` unless the partition already has one (the first
+  /// evidence wins; later evidence in one query never contradicts it).
+  /// Splits mint new pids mid-query, so the table grows on demand.
+  void LearnLabel(PartitionId pid, int8_t label) {
+    if (pid >= label_by_pid.size()) label_by_pid.resize(pid + 1, -1);
+    if (label_by_pid[pid] == -1) label_by_pid[pid] = label;
+  }
   bool outside_label(int idx) const {
     return idx == 0 ? filter.label_first : filter.label_last;
   }
@@ -111,9 +124,7 @@ void RecordOutcome(PredCtx* pc, TupleId tid, bool out) {
 /// outcome is not already implied. Returns 0/1.
 bool EvalForTuple(PredCtx* pc, edbms::Edbms* db, TupleId tid) {
   const PartitionId pid = pc->pop->partition_of(tid);
-  if (auto it = pc->label_by_pid.find(pid); it != pc->label_by_pid.end()) {
-    return it->second == 1;
-  }
+  if (const int8_t label = pc->LabelOf(pid); label != -1) return label == 1;
   const int idx = pc->NsIndexOf(pid);
   assert(idx >= 0);
   PredCtx::Ns& ns = pc->ns[idx];
@@ -131,9 +142,7 @@ bool EvalForTuple(PredCtx* pc, edbms::Edbms* db, TupleId tid) {
 /// 1 sure-true, 0 sure-false, -1 needs evaluation.
 int8_t ClassifyTuple(const PredCtx& pc, TupleId tid) {
   const PartitionId pid = pc.pop->partition_of(tid);
-  if (auto it = pc.label_by_pid.find(pid); it != pc.label_by_pid.end()) {
-    return it->second;
-  }
+  if (const int8_t label = pc.LabelOf(pid); label != -1) return label;
   const int idx = pc.NsIndexOf(pid);
   if (idx < 0) return 0;  // not covered by this chain (defensive)
   if (pc.ns[idx].known != -1) return pc.ns[idx].known;
@@ -165,6 +174,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
     pc.td = tds[i];
     pc.pop = &pops_.at(tds[i]->attr);
     if (pc.pop->k() == 0) return {};
+    pc.label_by_pid.assign(pc.pop->pid_capacity(), -1);
     if (options_.fast_path) {
       pc.fp = FingerprintTrapdoor(*tds[i]);
       if (const Pop::FastPathEntry* e = pc.pop->LookupFastPath(pc.fp)) {
@@ -176,7 +186,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
         const size_t cpos = pc.pop->CutPos(*cut);
         for (size_t pos = 0; pos < pc.pop->k(); ++pos) {
           const bool label = (pos < cpos) == cut->left_label;
-          pc.label_by_pid.emplace(pc.pop->pid_at(pos), label ? 1 : 0);
+          pc.label_by_pid[pc.pop->pid_at(pos)] = label ? 1 : 0;
         }
         pc.ns_count = 0;
         continue;
@@ -206,7 +216,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
         label = pos < pc.filter.ns_a ? pc.filter.label_first
                                      : pc.filter.label_last;
       }
-      pc.label_by_pid.emplace(pc.pop->pid_at(pos), label ? 1 : 0);
+      pc.label_by_pid[pc.pop->pid_at(pos)] = label ? 1 : 0;
     }
   }
 
@@ -326,27 +336,38 @@ std::vector<TupleId> PrkbIndex::RunMd(
   }
 
   // ---- Step 3: central region — sure-True under every trapdoor. ----
+  // Every tuple of an NS partition was visited in step 2, so an unvisited
+  // tuple is sure-True under a trapdoor iff its partition is. The region is
+  // therefore the same whichever trapdoor drives the walk; drive it from the
+  // one with the fewest sure-True tuples and classify against the others.
   {
-    const PredCtx& first = preds[0];
-    const size_t k = first.pop->k();
-    for (size_t pos = 0; pos < k; ++pos) {
-      const PartitionId pid = first.pop->pid_at(pos);
-      const auto it = first.label_by_pid.find(pid);
-      const bool sure_true =
-          (it != first.label_by_pid.end() && it->second == 1) ||
-          (first.NsIndexOf(pid) >= 0 &&
-           first.ns[first.NsIndexOf(pid)].known == 1);
-      if (!sure_true) continue;
-      first.pop->members(pid).ForEach([&](TupleId tid) {
+    const auto sure_true = [](const PredCtx& pc, PartitionId pid) {
+      const int idx = pc.NsIndexOf(pid);
+      return pc.LabelOf(pid) == 1 || (idx >= 0 && pc.ns[idx].known == 1);
+    };
+    size_t drive = 0;
+    size_t drive_tuples = std::numeric_limits<size_t>::max();
+    for (size_t p = 0; p < preds.size(); ++p) {
+      size_t n = 0;
+      for (size_t pos = 0; pos < preds[p].pop->k(); ++pos) {
+        const PartitionId pid = preds[p].pop->pid_at(pos);
+        if (sure_true(preds[p], pid)) n += preds[p].pop->members(pid).Size();
+      }
+      if (n < drive_tuples) {
+        drive = p;
+        drive_tuples = n;
+      }
+    }
+    const PredCtx& lead = preds[drive];
+    for (size_t pos = 0; pos < lead.pop->k(); ++pos) {
+      const PartitionId pid = lead.pop->pid_at(pos);
+      if (!sure_true(lead, pid)) continue;
+      lead.pop->members(pid).ForEach([&](TupleId tid) {
         if (visited.Get(tid)) return;
-        bool all_true = true;
-        for (size_t p = 1; p < preds.size(); ++p) {
-          if (ClassifyTuple(preds[p], tid) != 1) {
-            all_true = false;
-            break;
-          }
+        for (size_t p = 0; p < preds.size(); ++p) {
+          if (p != drive && ClassifyTuple(preds[p], tid) != 1) return;
         }
-        if (all_true) result.push_back(tid);
+        result.push_back(tid);
       });
     }
   }
@@ -395,14 +416,14 @@ std::vector<TupleId> PrkbIndex::RunMd(
     for (int i = 0; i < pc.ns_count; ++i) {
       PredCtx::Ns& ns = pc.ns[i];
       if (ns.known != -1) {
-        pc.label_by_pid.emplace(ns.pid, ns.known);
+        pc.LearnLabel(ns.pid, ns.known);
         continue;
       }
       if (ns.t_count == 0 || ns.f_count == 0) {
         // Homogeneous as far as observed. Record the label only on full
         // coverage (an unscanned remainder could still differ).
         if (ns.outcome.size() == pc.pop->members(ns.pid).Size()) {
-          pc.label_by_pid.emplace(ns.pid, ns.t_count > 0 ? 1 : 0);
+          pc.LearnLabel(ns.pid, ns.t_count > 0 ? 1 : 0);
         }
         continue;
       }
@@ -426,7 +447,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
             (!t_members.empty() && !f_members.empty())) {
           continue;
         }
-        pc.label_by_pid.emplace(pid, t_members.empty() ? 0 : 1);
+        pc.LearnLabel(pid, t_members.empty() ? 0 : 1);
       }
       for (auto& [pid, g] : groups) {
         auto& [t_members, f_members] = g;
@@ -441,20 +462,14 @@ std::vector<TupleId> PrkbIndex::RunMd(
         // partition is homogeneous with its outside label.
         if (pc.ns_count == 2) {
           const int partner = 1 - i;
-          pc.label_by_pid.emplace(pc.ns[partner].pid,
-                                  pc.outside_label(partner) ? 1 : 0);
+          pc.LearnLabel(pc.ns[partner].pid, pc.outside_label(partner) ? 1 : 0);
         }
         // Orient against a neighbour with a known label for this trapdoor.
         const size_t pos = pc.pop->pos_of(pid);
-        int8_t left_label = -1, right_label = -1;
-        if (pos > 0) {
-          auto it = pc.label_by_pid.find(pc.pop->pid_at(pos - 1));
-          if (it != pc.label_by_pid.end()) left_label = it->second;
-        }
-        if (pos + 1 < pc.pop->k()) {
-          auto it = pc.label_by_pid.find(pc.pop->pid_at(pos + 1));
-          if (it != pc.label_by_pid.end()) right_label = it->second;
-        }
+        const int8_t left_label =
+            pos > 0 ? pc.LabelOf(pc.pop->pid_at(pos - 1)) : -1;
+        const int8_t right_label =
+            pos + 1 < pc.pop->k() ? pc.LabelOf(pc.pop->pid_at(pos + 1)) : -1;
         bool true_half_left;
         if (left_label != -1) {
           true_half_left = left_label == 1;
@@ -477,15 +492,14 @@ std::vector<TupleId> PrkbIndex::RunMd(
         // The halves now have known labels for every trapdoor that knew the
         // original partition; record ours and propagate the others.
         const PartitionId left_pid = pc.pop->pid_at(pos);
-        pc.label_by_pid.emplace(left_pid, true_half_left ? 1 : 0);
-        pc.label_by_pid.emplace(pid, true_half_left ? 0 : 1);
+        pc.LearnLabel(left_pid, true_half_left ? 1 : 0);
+        pc.LearnLabel(pid, true_half_left ? 0 : 1);
         for (PredCtx& other : preds) {
           // Partition ids are only meaningful within one chain: propagate to
           // the sibling trapdoors of the same attribute only.
           if (&other == &pc || other.pop != pc.pop) continue;
-          if (auto it = other.label_by_pid.find(pid);
-              it != other.label_by_pid.end()) {
-            other.label_by_pid.emplace(left_pid, it->second);
+          if (const int8_t label = other.LabelOf(pid); label != -1) {
+            other.LearnLabel(left_pid, label);
           }
         }
       }

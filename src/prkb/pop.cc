@@ -120,6 +120,9 @@ uint64_t Pop::SplitPartitionSets(PartitionId pid, MemberSet left_members,
   cut.trapdoor = td;
   cut.fp = FingerprintTrapdoor(td);
   cut.left_label = left_label;
+  // The boundary is new (the left half is a fresh slot), so no live cut can
+  // already sit on it.
+  slots_[left_pid].right_cut = static_cast<uint32_t>(cuts_.size());
   cut_index_[cut.id] = cuts_.size();
   cuts_.push_back(std::move(cut));
   PopMetrics::Get().splits->Add(1);
@@ -165,6 +168,8 @@ void Pop::DropCut(size_t cut_idx) {
     fp_cache_.erase(it);
   }
   cut.dropped = true;
+  assert(slots_[cut.left_pid].right_cut == cut_idx);
+  slots_[cut.left_pid].right_cut = kNoCutIdx;
   if (cut.sibling != kNoCut) {
     auto it = cut_index_.find(cut.sibling);
     if (it != cut_index_.end()) cuts_[it->second].sibling = kNoCut;
@@ -198,37 +203,38 @@ void Pop::RemoveTuple(TupleId tid) {
   chain_.erase(chain_.begin() + static_cast<ptrdiff_t>(pos));
   RebuildPositionsFrom(pos);
 
-  for (size_t i = 0; i < cuts_.size(); ++i) {
-    Cut& cut = cuts_[i];
-    if (cut.dropped || cut.left_pid != pid) continue;
-    if (pos == 0 || chain_.empty()) {
+  if (const uint32_t i = slots_[pid].right_cut; i != kNoCutIdx) {
+    if (pos == 0) {
       // The cut slid off the chain head; it separates nothing any more.
       DropCut(i);
-      continue;
-    }
-    const PartitionId dest = chain_[pos - 1];
-    // Re-anchoring onto a boundary that already hosts a live cut would stack
-    // two different thresholds on one boundary; a later insert into the
-    // emptied value gap could then satisfy one cut's label invariant and
-    // silently violate the other's. Coarsen instead of corrupting: retire
-    // the sliding cut.
-    bool occupied = false;
-    for (const Cut& other : cuts_) {
-      if (!other.dropped && other.left_pid == dest) {
-        occupied = true;
-        break;
+    } else {
+      // Re-anchoring onto a boundary that already hosts a live cut would
+      // stack two different thresholds on one boundary; a later insert into
+      // the emptied value gap could then satisfy one cut's label invariant
+      // and silently violate the other's. Coarsen instead of corrupting:
+      // retire the sliding cut.
+      const PartitionId dest = chain_[pos - 1];
+      if (slots_[dest].right_cut != kNoCutIdx) {
+        DropCut(i);
+      } else {
+        Reanchor(i, dest);
       }
     }
-    if (occupied) {
+  }
+  // A cut that ended up on the chain tail edge separates nothing either.
+  if (!chain_.empty()) {
+    if (const uint32_t i = slots_[chain_.back()].right_cut; i != kNoCutIdx) {
       DropCut(i);
-    } else {
-      cut.left_pid = dest;
     }
   }
-  // Cuts that ended up on the chain tail edge separate nothing either.
-  for (size_t i = 0; i < cuts_.size(); ++i) {
-    if (!cuts_[i].dropped && CutPos(cuts_[i]) >= chain_.size()) DropCut(i);
-  }
+}
+
+void Pop::Reanchor(size_t cut_idx, PartitionId dest) {
+  Cut& cut = cuts_[cut_idx];
+  assert(slots_[dest].right_cut == kNoCutIdx);
+  slots_[cut.left_pid].right_cut = kNoCutIdx;
+  slots_[dest].right_cut = static_cast<uint32_t>(cut_idx);
+  cut.left_pid = dest;
 }
 
 PartitionId Pop::MergeAt(size_t pos) {
@@ -250,14 +256,9 @@ PartitionId Pop::MergeAt(size_t pos) {
   // steer future insertions — retire them. Cuts anchored at `right`
   // separated right|right-neighbour; that boundary survives as
   // merged|right-neighbour, so re-anchor them to the surviving id.
-  for (size_t i = 0; i < cuts_.size(); ++i) {
-    Cut& cut = cuts_[i];
-    if (cut.dropped) continue;
-    if (cut.left_pid == left) {
-      DropCut(i);
-    } else if (cut.left_pid == right) {
-      cut.left_pid = left;
-    }
+  if (const uint32_t i = slots_[left].right_cut; i != kNoCutIdx) DropCut(i);
+  if (const uint32_t i = slots_[right].right_cut; i != kNoCutIdx) {
+    Reanchor(i, left);
   }
   if (listener_ != nullptr) listener_->OnMerge(pos);
   return left;
@@ -382,7 +383,8 @@ Status Pop::Validate() const {
   if (covered != num_tuples_) {
     return Status::Corruption("num_tuples_ out of sync");
   }
-  for (const Cut& cut : cuts_) {
+  for (size_t i = 0; i < cuts_.size(); ++i) {
+    const Cut& cut = cuts_[i];
     if (cut.dropped) continue;
     if (cut.left_pid >= slots_.size() || !slots_[cut.left_pid].live) {
       return Status::Corruption("cut anchored at dead partition");
@@ -390,6 +392,23 @@ Status Pop::Validate() const {
     const size_t cpos = CutPos(cut);
     if (cpos < 1 || cpos > chain_.size() - 1) {
       return Status::Corruption("cut at chain edge");
+    }
+    // At most one live cut per boundary (DESIGN.md §7), and the partition's
+    // back-reference names it.
+    const uint32_t ref = slots_[cut.left_pid].right_cut;
+    if (ref != i) {
+      return ref < cuts_.size() && !cuts_[ref].dropped &&
+                     cuts_[ref].left_pid == cut.left_pid
+                 ? Status::Corruption("two live cuts share a boundary")
+                 : Status::Corruption("cut back-reference out of sync");
+    }
+  }
+  for (size_t pid = 0; pid < slots_.size(); ++pid) {
+    const uint32_t ref = slots_[pid].right_cut;
+    if (ref == kNoCutIdx) continue;
+    if (ref >= cuts_.size() || cuts_[ref].dropped ||
+        cuts_[ref].left_pid != pid) {
+      return Status::Corruption("cut back-reference out of sync");
     }
   }
   for (const auto& [fp, e] : fp_cache_) {

@@ -115,6 +115,9 @@ class Pop {
 
   PartitionId pid_at(size_t pos) const { return chain_[pos]; }
   size_t pos_of(PartitionId pid) const { return pos_[pid]; }
+  /// One past the largest partition id ever issued (live or retired): the
+  /// size of a table indexed by PartitionId.
+  size_t pid_capacity() const { return slots_.size(); }
   const MemberSet& members(PartitionId pid) const {
     return slots_[pid].members;
   }
@@ -184,6 +187,14 @@ class Pop {
   /// Chain position of a cut: it lies between positions CutPos()-1 and
   /// CutPos(). Always in [1, k-1] for live cuts.
   size_t CutPos(const Cut& cut) const { return pos_[cut.left_pid] + 1; }
+  /// The live cut at chain boundary `pos` (the one with CutPos() == pos), or
+  /// nullptr. O(1): every boundary holds at most one live cut (DESIGN.md
+  /// §7), and each partition keeps a back-reference to the cut on its right.
+  /// `pos` must be in [1, k-1].
+  const Cut* CutAt(size_t pos) const {
+    const uint32_t idx = slots_[chain_[pos - 1]].right_cut;
+    return idx == kNoCutIdx ? nullptr : &cuts_[idx];
+  }
 
   /// --- Repeat-predicate fast path -----------------------------------------
 
@@ -253,14 +264,23 @@ class Pop {
   Status ValidateAgainstPlain(const std::vector<edbms::Value>& plain_of) const;
 
  private:
+  static constexpr uint32_t kNoCutIdx = std::numeric_limits<uint32_t>::max();
+
   struct Slot {
     MemberSet members;
     bool live = false;
+    /// Index into cuts_ of the live cut immediately right of this partition
+    /// (the cut whose left_pid is this slot), or kNoCutIdx. Derived state,
+    /// like pos_: rebuilt by DecodeFrom, not serialised, not in SizeBytes.
+    uint32_t right_cut = kNoCutIdx;
   };
 
   PartitionId NewPartition(MemberSet members);
   void RebuildPositionsFrom(size_t pos);
   void DropCut(size_t cut_idx);
+  /// Moves live cut `cut_idx` onto the boundary right of `dest`, which must
+  /// hold no live cut.
+  void Reanchor(size_t cut_idx, PartitionId dest);
 
   std::vector<Slot> slots_;             // by pid
   std::vector<PartitionId> chain_;      // pos -> pid

@@ -132,6 +132,11 @@ Status Pop::DecodeFrom(Decoder* dec) {
     cut.left_label = label != 0;
     cut.left_pid = chain_[left_pos];
     cut.fp = FingerprintTrapdoor(cut.trapdoor);
+    // A second cut on an occupied boundary keeps the first one's
+    // back-reference, so Validate() rejects the stack below.
+    if (slots_[cut.left_pid].right_cut == kNoCutIdx) {
+      slots_[cut.left_pid].right_cut = static_cast<uint32_t>(cuts_.size());
+    }
     cut_index_[cut.id] = cuts_.size();
     cuts_.push_back(std::move(cut));
   }

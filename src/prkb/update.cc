@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,6 +22,7 @@ struct UpdateMetrics {
   obs::Counter* placements;
   obs::Counter* evals;
   obs::Counter* coarsen_merges;
+  obs::Counter* general_picks;
   obs::Counter* memo_hits;
   obs::Counter* buffer_appends;
   obs::Counter* buffer_flushes;
@@ -29,6 +33,7 @@ struct UpdateMetrics {
         obs::MetricsRegistry::Global().GetCounter("update.placements"),
         obs::MetricsRegistry::Global().GetCounter("update.evals"),
         obs::MetricsRegistry::Global().GetCounter("update.coarsen_merges"),
+        obs::MetricsRegistry::Global().GetCounter("update.general_picks"),
         obs::MetricsRegistry::Global().GetCounter("update.memo_hits"),
         obs::MetricsRegistry::Global().GetCounter("update.buffer.appends"),
         obs::MetricsRegistry::Global().GetCounter("update.buffer.flushes"),
@@ -39,7 +44,8 @@ struct UpdateMetrics {
   }
 };
 
-/// Inclusive range of chain positions.
+/// Inclusive range of chain positions. A search's candidate set is a list of
+/// these, ascending and disjoint.
 struct Interval {
   size_t b, e;
   size_t size() const { return e - b + 1; }
@@ -55,9 +61,6 @@ size_t Total(const std::vector<Interval>& ivs) {
 std::vector<Interval> Clip(const std::vector<Interval>& ivs, size_t b,
                            size_t e) {
   std::vector<Interval> out;
-  if (e + 1 <= b && e < b) {
-    // empty clip range
-  }
   for (const auto& iv : ivs) {
     const size_t nb = std::max(iv.b, b);
     const size_t ne = std::min(iv.e, e);
@@ -82,14 +85,6 @@ std::vector<Interval> ClipComplement(const std::vector<Interval>& ivs,
   return out;
 }
 
-/// How a usable cut partitions the chain into a "region" and its complement.
-struct CutRegion {
-  const Pop::Cut* cut;
-  // Region selected when Θ outputs `label_for_region`.
-  size_t region_b, region_e;
-  bool label_for_region;
-};
-
 /// Size of `ivs` ∩ [b, e] without materialising it.
 size_t CountClip(const std::vector<Interval>& ivs, size_t b, size_t e) {
   size_t n = 0;
@@ -102,105 +97,222 @@ size_t CountClip(const std::vector<Interval>& ivs, size_t b, size_t e) {
   return n;
 }
 
-/// The fixed search geometry of one placement batch: usable cuts with their
-/// region semantics, plus the sorted comparison-cut index for the
-/// O(lg k)-per-step quantile pick. Positions never change during a search
-/// (only AddTuple happens before the coarsen fallback), so one geometry
-/// serves every tuple of a batch — which is what makes the lock-step flush
-/// evaluate exactly the per-tuple (cut, tuple) pairs the eager sequential
-/// placement would have.
-struct PlacementGeometry {
-  size_t k;
-  std::vector<CutRegion> regions;
-  std::vector<std::pair<size_t, const CutRegion*>> cmp_by_pos;
+/// How a usable cut partitions the chain into a "region" and its complement.
+struct CutRegion {
+  /// The cut whose trapdoor decides the region: a comparison cut, or the
+  /// low-position end of a sibling-linked BETWEEN pair.
+  const Pop::Cut* cut;
+  // Region selected when Θ outputs `label_for_region`.
+  size_t region_b, region_e;
+  bool label_for_region;
+};
 
-  explicit PlacementGeometry(const Pop& pop) : k(pop.k()) {
-    for (const Pop::Cut& cut : pop.cuts()) {
-      if (!cut.UsableForInsert()) continue;
-      if (cut.trapdoor.kind == edbms::PredicateKind::kComparison) {
-        const size_t c = pop.CutPos(cut);
-        // Θ == left_label selects positions [0, c-1].
-        regions.push_back(CutRegion{&cut, 0, c - 1, cut.left_label});
-      } else {
-        // BETWEEN with both ends known: Θ == 1 selects the inside positions.
-        const Pop::Cut* sib = pop.FindCut(cut.sibling);
-        if (sib == nullptr) continue;
-        const size_t c1 = pop.CutPos(cut);
-        const size_t c2 = pop.CutPos(*sib);
-        if (c1 >= c2) continue;  // handled once, from the low end
-        regions.push_back(CutRegion{&cut, c1, c2 - 1, true});
-      }
-    }
-    cmp_by_pos.reserve(regions.size());
-    for (const CutRegion& r : regions) {
-      if (r.cut->trapdoor.kind == edbms::PredicateKind::kComparison) {
-        cmp_by_pos.emplace_back(r.region_e + 1, &r);  // cut position
-      }
-    }
-    std::sort(cmp_by_pos.begin(), cmp_by_pos.end());
-  }
-
-  /// Nearest usable comparison cut to `target`, constrained to (b, e] so it
-  /// properly splits the interval [b, e]. Ties go to the upper cut.
-  const CutRegion* NearestCmp(size_t b, size_t e, size_t target) const {
-    auto it = std::lower_bound(
-        cmp_by_pos.begin(), cmp_by_pos.end(), target,
-        [](const auto& pr, size_t m) { return pr.first < m; });
-    const CutRegion* cut_up =
-        (it != cmp_by_pos.end() && it->first <= e) ? it->second : nullptr;
-    const CutRegion* cut_down =
-        (it != cmp_by_pos.begin() && std::prev(it)->first > b)
-            ? std::prev(it)->second
-            : nullptr;
-    if (cut_up != nullptr && cut_down != nullptr) {
-      return (it->first - target <= target - std::prev(it)->first) ? cut_up
-                                                                   : cut_down;
-    }
-    return cut_up != nullptr ? cut_up : cut_down;
-  }
+/// The greedy pick rules, read straight off the chain: Pop::CutAt gives the
+/// one live cut per boundary in O(1), so a pick costs only the boundaries it
+/// inspects. Positions never change during a search (only AddTuple happens
+/// before the coarsen fallback), so every search of a batch sees the same
+/// regions — which is what makes the lock-step flush evaluate exactly the
+/// per-tuple (cut, tuple) pairs the eager sequential placement would have.
+class PickRules {
+ public:
+  explicit PickRules(const Pop& pop) : pop_(pop) {}
 
   /// One round's greedy picks for `cand`: up to `npicks` cuts — the quantile
   /// comparison cuts of a single surviving interval, or the best worst-case
   /// separators in general. Empty when no usable cut can narrow further.
   void ComputePicks(const std::vector<Interval>& cand, size_t fanout,
-                    size_t npicks, std::vector<const CutRegion*>* picks) const {
+                    size_t npicks, std::vector<CutRegion>* picks) const {
     picks->clear();
     if (cand.size() == 1) {
       // Fast path: comparison cuts nearest the m-quantiles of [b, e] (the
-      // single midpoint when m = 2), each found by binary search.
+      // single midpoint when m = 2).
       const size_t b = cand[0].b, e = cand[0].e;
       const size_t width = e - b + 1;
       for (size_t j = 1; j < fanout && picks->size() < npicks; ++j) {
         const size_t off = j * width / fanout;
         if (off == 0) continue;  // degenerate quantile; a later j covers it
-        const CutRegion* r = NearestCmp(b, e, b + off);
-        if (r == nullptr) continue;
-        if (std::find(picks->begin(), picks->end(), r) == picks->end()) {
+        CutRegion r;
+        if (!NearestCmp(b, e, b + off, &r)) continue;
+        if (std::none_of(picks->begin(), picks->end(),
+                         [&](const CutRegion& p) { return p.cut == r.cut; })) {
           picks->push_back(r);
         }
       }
     }
     if (picks->empty()) {
-      // General path: any usable cuts (including BETWEEN pairs) minimising
-      // the worst-case surviving count; only proper separators qualify.
-      const size_t total = Total(cand);
-      std::vector<std::pair<size_t, const CutRegion*>> scored;
-      for (const CutRegion& r : regions) {
-        const size_t in_region = CountClip(cand, r.region_b, r.region_e);
-        const size_t worst = std::max(in_region, total - in_region);
-        if (worst < total) scored.emplace_back(worst, &r);
-      }
-      std::stable_sort(
-          scored.begin(), scored.end(),
-          [](const auto& x, const auto& y) { return x.first < y.first; });
-      for (const auto& [worst, r] : scored) {
-        (void)worst;
-        if (picks->size() >= npicks) break;
-        picks->push_back(r);
-      }
+      UpdateMetrics::Get().general_picks->Add(1);
+      GeneralPicks(cand, npicks, picks);
     }
   }
+
+ private:
+  /// The region of the comparison cut at boundary `c`, if that is what lies
+  /// there: Θ == left_label selects positions [0, c-1].
+  bool ComparisonAt(size_t c, CutRegion* r) const {
+    const Pop::Cut* cut = pop_.CutAt(c);
+    if (cut == nullptr ||
+        cut->trapdoor.kind != edbms::PredicateKind::kComparison) {
+      return false;
+    }
+    *r = CutRegion{cut, 0, c - 1, cut->left_label};
+    return true;
+  }
+
+  /// Nearest comparison cut to `target`, constrained to (b, e] so it properly
+  /// splits the interval [b, e]: an outward walk from `target`, checking the
+  /// upper boundary first at each distance so ties go to the upper cut.
+  bool NearestCmp(size_t b, size_t e, size_t target, CutRegion* r) const {
+    for (size_t d = 0; target + d <= e || d < target - b; ++d) {
+      if (target + d <= e && ComparisonAt(target + d, r)) return true;
+      if (d > 0 && d < target - b && ComparisonAt(target - d, r)) return true;
+    }
+    return false;
+  }
+
+  /// Any usable cuts (including BETWEEN pairs) minimising the worst-case
+  /// surviving count; only proper separators qualify. A cut outside the
+  /// candidate span (span_b, span_e] puts every candidate on one side, so
+  /// only the span's boundaries are scored. Ties keep cuts_ order.
+  void GeneralPicks(const std::vector<Interval>& cand, size_t npicks,
+                    std::vector<CutRegion>* picks) const {
+    const size_t total = Total(cand);
+    const size_t span_b = cand.front().b;
+    const size_t span_e = cand.back().e;
+    struct Scored {
+      size_t worst;
+      CutRegion r;
+    };
+    std::vector<Scored> scored;
+    for (size_t c = span_b + 1; c <= span_e; ++c) {
+      CutRegion r;
+      if (!ComparisonAt(c, &r)) {
+        const Pop::Cut* cut = pop_.CutAt(c);
+        if (cut == nullptr || !cut->UsableForInsert()) continue;
+        // BETWEEN with both ends known: Θ == 1 selects the inside positions.
+        const Pop::Cut* sib = pop_.FindCut(cut->sibling);
+        if (sib == nullptr) continue;
+        const size_t c2 = pop_.CutPos(*sib);
+        if (c2 < c && c2 > span_b) continue;  // scored from its low end
+        r = c < c2 ? CutRegion{cut, c, c2 - 1, true}
+                   : CutRegion{sib, c2, c - 1, true};
+      }
+      const size_t in_region = CountClip(cand, r.region_b, r.region_e);
+      const size_t worst = std::max(in_region, total - in_region);
+      if (worst < total) {
+        scored.push_back(Scored{worst, r});
+      }
+    }
+    // Region cuts all point into cuts_, so pointer order is cuts_ order.
+    std::sort(scored.begin(), scored.end(),
+              [](const Scored& x, const Scored& y) {
+                return x.worst != y.worst ? x.worst < y.worst
+                                          : x.r.cut < y.r.cut;
+              });
+    for (const Scored& s : scored) {
+      if (picks->size() >= npicks) break;
+      picks->push_back(s.r);
+    }
+  }
+
+  const Pop& pop_;
 };
+
+/// One tuple's placement search.
+struct Search {
+  TupleId tid;
+  std::vector<Interval> cand;
+  /// Θ(trapdoor, tid) outcomes already paid for, keyed by trapdoor
+  /// fingerprint: distinct cuts can share one trapdoor (BETWEEN sibling
+  /// pairs, MD-fragmented splits), and the greedy search must never pay the
+  /// backend twice for the same predicate. A search pays ~(m−1)·⌈log_m k⌉
+  /// evaluations, so a flat list outruns a hash table.
+  std::vector<std::pair<TrapdoorFp, bool>> memo;
+};
+
+/// Runs `searches` in lock-step greedy rounds until each resolves to one
+/// position or runs out of narrowing cuts. Each round, every still-narrowing
+/// search contributes up to m−1 picks to ONE shared probe round: memoised
+/// cuts resolve for free, the rest dedupe by trapdoor fingerprint per
+/// (tuple, round) — sibling/fragmented cuts share one lane. A single search
+/// cuts the ~⌈lg k⌉ serial trips of Sec. 7.1 to ~⌈log_m k⌉; m = 2 reproduces
+/// the paper's one-cut-per-trip binary placement exactly (a lone lane ships
+/// as a scalar Eval). Each search's picks depend only on its own candidate
+/// set, so a batch evaluates exactly the eager sequence's (cut, tuple)
+/// pairs — only the round trips collapse (BENCH_write_heavy.json).
+void RunSearches(const Pop& pop, edbms::QpfOracle* qpf, size_t fanout,
+                 bool use_memo, std::vector<Search>* searches) {
+  const PickRules rules(pop);
+  const size_t k = pop.k();
+  const size_t npicks = fanout - 1;
+  struct Decision {
+    Search* s;
+    CutRegion r;
+    bool memoized;
+    bool value;   // when memoized
+    size_t lane;  // when not
+  };
+  ProbeRound probe_round(qpf);
+  std::vector<CutRegion> picks;
+  std::vector<Decision> decisions;
+  std::vector<std::pair<TrapdoorFp, size_t>> lane_by_fp;
+  std::vector<bool> searching(searches->size(), true);
+  for (;;) {
+    decisions.clear();
+    for (size_t i = 0; i < searches->size(); ++i) {
+      Search& s = (*searches)[i];
+      if (!searching[i]) continue;
+      if (Total(s.cand) <= 1) {
+        searching[i] = false;
+        continue;
+      }
+      rules.ComputePicks(s.cand, fanout, npicks, &picks);
+      if (picks.empty()) {
+        searching[i] = false;  // coarsen fallback, left to the caller
+        continue;
+      }
+      lane_by_fp.clear();
+      for (const CutRegion& r : picks) {
+        const TrapdoorFp& fp = r.cut->fp;
+        const auto known =
+            std::find_if(s.memo.begin(), s.memo.end(),
+                         [&](const auto& m) { return m.first == fp; });
+        if (use_memo && known != s.memo.end()) {
+          UpdateMetrics::Get().memo_hits->Add(1);
+          decisions.push_back(Decision{&s, r, true, known->second, 0});
+          continue;
+        }
+        auto lane = std::find_if(lane_by_fp.begin(), lane_by_fp.end(),
+                                 [&](const auto& l) { return l.first == fp; });
+        if (lane == lane_by_fp.end()) {
+          lane_by_fp.emplace_back(fp, probe_round.Add(r.cut->trapdoor, s.tid));
+          UpdateMetrics::Get().evals->Add(1);
+          lane = std::prev(lane_by_fp.end());
+        }
+        decisions.push_back(Decision{&s, r, false, false, lane->second});
+      }
+    }
+    if (decisions.empty()) return;
+    probe_round.Flush();
+    for (const Decision& d : decisions) {
+      const bool output = d.memoized ? d.value : probe_round.ResultOf(d.lane);
+      Search& s = *d.s;
+      if (!d.memoized &&
+          std::none_of(s.memo.begin(), s.memo.end(),
+                       [&](const auto& m) { return m.first == d.r.cut->fp; })) {
+        s.memo.emplace_back(d.r.cut->fp, output);
+      }
+      // Every outcome is ground truth about the tuple, so applying the
+      // whole round keeps the true position in `cand` (later cuts may
+      // simply stop narrowing).
+      if (output == d.r.label_for_region) {
+        s.cand = Clip(s.cand, d.r.region_b, d.r.region_e);
+      } else {
+        s.cand = ClipComplement(s.cand, d.r.region_b, d.r.region_e, k);
+      }
+      assert(!s.cand.empty());
+    }
+  }
+}
 
 }  // namespace
 
@@ -217,69 +329,10 @@ void PrkbIndex::PlaceTuple(edbms::AttrId attr, TupleId tid) {
     return;
   }
 
-  const PlacementGeometry geo(pop);
-  const size_t k = geo.k;
-  std::vector<Interval> cand = {Interval{0, k - 1}};
-
-  // Θ(trapdoor, tid) outcomes already paid for during this placement, keyed
-  // by trapdoor fingerprint: distinct cuts can share one trapdoor (BETWEEN
-  // sibling pairs, MD-fragmented splits), and the greedy search must never
-  // pay the backend twice for the same predicate.
-  std::unordered_map<TrapdoorFp, bool, TrapdoorFpHash> memo;
-
-  // Greedy search, batched: each round picks up to m−1 cuts and evaluates
-  // them in one QPF round trip, cutting the ~⌈lg k⌉ serial trips of
-  // Sec. 7.1 to ~⌈log_m k⌉. m = 2 reproduces the paper's one-cut-per-trip
-  // binary placement exactly (a lone lane ships as a scalar Eval).
-  const size_t fanout = options_.probe_fanout < 2 ? 2 : options_.probe_fanout;
-  const size_t npicks = fanout - 1;
-  ProbeRound probe_round(db_);
-  std::vector<const CutRegion*> picks;
-  while (Total(cand) > 1) {
-    geo.ComputePicks(cand, fanout, npicks, &picks);
-    if (picks.empty()) break;  // no cut can narrow further
-
-    // Batched round: resolve memoised cuts for free, dedupe the rest by
-    // trapdoor fingerprint (sibling/fragmented cuts share one lane) and ship
-    // every remaining Θ in a single round trip.
-    struct Decision {
-      const CutRegion* r;
-      bool memoized;
-      bool value;   // when memoized
-      size_t lane;  // when not
-    };
-    std::vector<Decision> decisions;
-    std::unordered_map<TrapdoorFp, size_t, TrapdoorFpHash> lane_by_fp;
-    for (const CutRegion* r : picks) {
-      if (const auto it = memo.find(r->cut->fp);
-          options_.fast_path && it != memo.end()) {
-        UpdateMetrics::Get().memo_hits->Add(1);
-        decisions.push_back(Decision{r, true, it->second, 0});
-        continue;
-      }
-      const auto [lit, inserted] = lane_by_fp.try_emplace(r->cut->fp, 0);
-      if (inserted) {
-        lit->second = probe_round.Add(r->cut->trapdoor, tid);
-        UpdateMetrics::Get().evals->Add(1);
-      }
-      decisions.push_back(Decision{r, false, false, lit->second});
-    }
-    probe_round.Flush();
-    for (const Decision& d : decisions) {
-      const bool output = d.memoized ? d.value : probe_round.ResultOf(d.lane);
-      if (!d.memoized) memo.emplace(d.r->cut->fp, output);
-      // Every outcome is ground truth about the tuple, so applying the
-      // whole round keeps the true position in `cand` (later cuts may
-      // simply stop narrowing).
-      if (output == d.r->label_for_region) {
-        cand = Clip(cand, d.r->region_b, d.r->region_e);
-      } else {
-        cand = ClipComplement(cand, d.r->region_b, d.r->region_e, k);
-      }
-      assert(!cand.empty());
-    }
-  }
-
+  std::vector<Search> searches = {Search{tid, {Interval{0, pop.k() - 1}}, {}}};
+  RunSearches(pop, db_, std::max<size_t>(options_.probe_fanout, 2),
+              options_.fast_path, &searches);
+  const std::vector<Interval>& cand = searches[0].cand;
   if (Total(cand) == 1) {
     pop.AddTuple(pop.pid_at(cand[0].b), tid);
     return;
@@ -290,8 +343,7 @@ void PrkbIndex::PlaceTuple(edbms::AttrId attr, TupleId tid) {
   // candidate span into one partition — always knowledge-safe — and place
   // the tuple there.
   const size_t span_b = cand.front().b;
-  size_t span_e = 0;
-  for (const auto& iv : cand) span_e = std::max(span_e, iv.e);
+  const size_t span_e = cand.back().e;
   UpdateMetrics::Get().coarsen_merges->Add(span_e - span_b);
   for (size_t i = span_b; i < span_e; ++i) pop.MergeAt(span_b);
   pop.AddTuple(pop.pid_at(span_b), tid);
@@ -323,86 +375,18 @@ void PrkbIndex::BatchPlace(edbms::AttrId attr,
     return;
   }
 
-  const PlacementGeometry geo(pop);
-  const size_t k = geo.k;
-  const size_t fanout = options_.probe_fanout < 2 ? 2 : options_.probe_fanout;
-  const size_t npicks = fanout - 1;
-
-  struct Search {
-    TupleId tid;
-    std::vector<Interval> cand;
-    std::unordered_map<TrapdoorFp, bool, TrapdoorFpHash> memo;
-    bool searching = true;
-  };
   std::vector<Search> searches;
   searches.reserve(tids.size());
   for (TupleId tid : tids) {
-    searches.push_back(Search{tid, {Interval{0, k - 1}}, {}, true});
+    searches.push_back(Search{tid, {Interval{0, pop.k() - 1}}, {}});
   }
-
-  // Lock-step rounds: every still-narrowing tuple contributes its round's
-  // picks to ONE shared probe round. The geometry is fixed and each tuple's
-  // picks depend only on its own candidate set, so the per-tuple
-  // (cut, tuple) evaluations are exactly the eager sequential placement's —
-  // only the round trips collapse (the ≥3× of BENCH_write_heavy.json).
-  struct Decision {
-    Search* s;
-    const CutRegion* r;
-    bool memoized;
-    bool value;   // when memoized
-    size_t lane;  // when not
-  };
-  ProbeRound probe_round(db_);
-  std::vector<const CutRegion*> picks;
-  std::vector<Decision> decisions;
-  std::unordered_map<TrapdoorFp, size_t, TrapdoorFpHash> lane_by_fp;
-  for (;;) {
-    decisions.clear();
-    for (Search& s : searches) {
-      if (!s.searching) continue;
-      if (Total(s.cand) <= 1) {
-        s.searching = false;
-        continue;
-      }
-      geo.ComputePicks(s.cand, fanout, npicks, &picks);
-      if (picks.empty()) {
-        s.searching = false;  // coarsen fallback, handled after the loop
-        continue;
-      }
-      lane_by_fp.clear();  // lanes dedupe per (tuple, round), as in PlaceTuple
-      for (const CutRegion* r : picks) {
-        if (const auto it = s.memo.find(r->cut->fp);
-            options_.fast_path && it != s.memo.end()) {
-          UpdateMetrics::Get().memo_hits->Add(1);
-          decisions.push_back(Decision{&s, r, true, it->second, 0});
-          continue;
-        }
-        const auto [lit, inserted] = lane_by_fp.try_emplace(r->cut->fp, 0);
-        if (inserted) {
-          lit->second = probe_round.Add(r->cut->trapdoor, s.tid);
-          UpdateMetrics::Get().evals->Add(1);
-        }
-        decisions.push_back(Decision{&s, r, false, false, lit->second});
-      }
-    }
-    if (decisions.empty()) break;
-    probe_round.Flush();
-    for (const Decision& d : decisions) {
-      const bool output = d.memoized ? d.value : probe_round.ResultOf(d.lane);
-      if (!d.memoized) d.s->memo.emplace(d.r->cut->fp, output);
-      if (output == d.r->label_for_region) {
-        d.s->cand = Clip(d.s->cand, d.r->region_b, d.r->region_e);
-      } else {
-        d.s->cand = ClipComplement(d.s->cand, d.r->region_b, d.r->region_e, k);
-      }
-      assert(!d.s->cand.empty());
-    }
-  }
+  RunSearches(pop, db_, std::max<size_t>(options_.probe_fanout, 2),
+              options_.fast_path, &searches);
 
   // Resolved tuples land first, in append order. AddTuple never moves cuts
   // or positions, so every resolved position stays valid throughout.
   std::vector<TupleId> unresolved;
-  for (Search& s : searches) {
+  for (const Search& s : searches) {
     if (Total(s.cand) == 1) {
       UpdateMetrics::Get().placements->Add(1);
       pop.AddTuple(pop.pid_at(s.cand[0].b), s.tid);

@@ -327,6 +327,191 @@ TEST(ProbeSchedTest, FanoutTwoSchedulerIsUseIdenticalToLegacy) {
   }
 }
 
+// ------------------------------------------------- mixed-chain golden pins
+
+enum class PinOp {
+  kEagerInsert,
+  kBufferedFlush,
+  kMdLazy,
+  kMdEager,
+};
+
+struct PinTotals {
+  uint64_t uses;
+  uint64_t trips;
+  uint64_t chain_hash;    // FNV-1a over both chains' EncodeTo bytes
+  uint64_t winners_hash;  // FNV-1a over every selection's sorted winners
+  uint64_t general_picks;
+  uint64_t coarsen_merges;
+};
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+/// 600 rows x 2 attributes warmed by 150 mixed selections (comparisons,
+/// BETWEEN bands and 2-attribute MD boxes, with a delete every 25 ops), so
+/// both chains carry comparison cuts, sibling-linked BETWEEN pairs and
+/// sibling-less BETWEEN ends. Then 60 operations of one kind at the default
+/// (m-ary, fused) options. Returns the totals of those 60 operations, the
+/// final chains' hash and the hash of every selection's winners.
+PinTotals RunPinWorkload(PinOp op, uint64_t seed) {
+  Rng data_rng(seed);
+  PlainTable plain = RandomTable(600, 2, &data_rng, 0, 5000);
+  PrkbOptions opts;
+  opts.buffered_inserts = op == PinOp::kBufferedFlush;
+  opts.eager_md_update = op == PinOp::kMdEager;
+  auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);
+  PrkbIndex index(&db, opts);
+  index.EnableAttr(0);
+  index.EnableAttr(1);
+
+  uint64_t winners_hash = 0xCBF29CE484222325ULL;
+  const auto fold = [&winners_hash](const std::vector<TupleId>& winners) {
+    for (TupleId tid : winners) {
+      winners_hash ^= tid;
+      winners_hash *= 0x100000001B3ULL;
+    }
+    winners_hash ^= 0xFF;
+    winners_hash *= 0x100000001B3ULL;
+  };
+  workload::QueryGen gen(0, 5000, seed + 1);
+  Rng op_rng(seed + 2);
+  const auto run_md = [&] {
+    const auto box = gen.RandomBox({0, 1}, 0.4);
+    std::vector<Trapdoor> tds;
+    for (const auto& p : box) {
+      tds.push_back(db.MakeComparison(p.attr, p.op, p.lo));
+    }
+    const auto got = Sorted(index.SelectRangeMd(tds));
+    EXPECT_EQ(got, OracleSelectAll(plain, box, &db));
+    fold(got);
+  };
+
+  std::vector<TupleId> live;
+  for (TupleId t = 0; t < 600; ++t) live.push_back(t);
+  for (int i = 0; i < 150; ++i) {
+    SCOPED_TRACE(::testing::Message() << "warm " << i);
+    const edbms::AttrId attr = i % 2;
+    if (i % 25 == 24) {
+      const size_t at = op_rng.UniformInt(0, live.size() - 1);
+      index.Delete(live[at]);
+      live.erase(live.begin() + static_cast<ptrdiff_t>(at));
+    }
+    switch (i % 5) {
+      case 0:
+      case 1: {
+        const PlainPredicate p = gen.RandomComparison(attr);
+        const auto got =
+            Sorted(index.Select(db.MakeComparison(p.attr, p.op, p.lo)));
+        EXPECT_EQ(got, OracleSelect(plain, p, &db));
+        fold(got);
+        break;
+      }
+      case 2:
+      case 3: {
+        PlainPredicate p;
+        p.attr = attr;
+        p.kind = edbms::PredicateKind::kBetween;
+        p.lo = op_rng.UniformInt64(0, 4500);
+        p.hi = p.lo + op_rng.UniformInt64(0, 600);
+        const auto got = Sorted(index.Select(db.MakeBetween(attr, p.lo, p.hi)));
+        EXPECT_EQ(got, OracleSelect(plain, p, &db));
+        fold(got);
+        break;
+      }
+      default:
+        run_md();
+        break;
+    }
+  }
+  db.ResetUses();
+  const uint64_t general_before = CounterValue("update.general_picks");
+  const uint64_t coarsen_before = CounterValue("update.coarsen_merges");
+
+  for (int i = 0; i < 60; ++i) {
+    SCOPED_TRACE(::testing::Message() << "op " << i);
+    switch (op) {
+      case PinOp::kEagerInsert:
+      case PinOp::kBufferedFlush: {
+        const Value v0 = op_rng.UniformInt64(0, 5000);
+        const Value v1 = op_rng.UniformInt64(0, 5000);
+        index.Insert({v0, v1});
+        plain.AddRow({v0, v1});
+        if (op == PinOp::kBufferedFlush && i % 10 == 9) {
+          index.FlushBuffered(0);
+          index.FlushBuffered(1);
+        }
+        break;
+      }
+      case PinOp::kMdLazy:
+      case PinOp::kMdEager:
+        run_md();
+        break;
+    }
+  }
+  for (edbms::AttrId attr : {0u, 1u}) {
+    EXPECT_TRUE(
+        index.pop(attr).ValidateAgainstPlain(testutil::ColumnOf(plain, attr))
+            .ok());
+  }
+  return PinTotals{db.uses(),
+                   db.round_trips(),
+                   ChainHash(index),
+                   winners_hash,
+                   CounterValue("update.general_picks") - general_before,
+                   CounterValue("update.coarsen_merges") - coarsen_before};
+}
+
+TEST(ProbeSchedTest, MixedChainPlacementAndMdArePinned) {
+  // Totals recorded from the placement that rebuilt a sorted cut geometry
+  // per call and the MD grid that kept hash-map label tables; placement and
+  // PRKB(MD) must make exactly the same picks and splits however their
+  // per-call bookkeeping is laid out.
+  struct Golden {
+    PinOp op;
+    uint64_t seed;
+    PinTotals want;
+  };
+  const Golden golden[] = {
+      {PinOp::kEagerInsert, 7,
+       {1273, 317, 0xea35ed59fb6e1b88ULL, 0x1bcbe827d548be87ULL, 80, 3}},
+      {PinOp::kEagerInsert, 8,
+       {1359, 317, 0xa2a83c124c4bab52ULL, 0x32dc53edf9c87946ULL, 82, 4}},
+      {PinOp::kEagerInsert, 9,
+       {1377, 333, 0xfc40f6febbe94e97ULL, 0x99c01bb528e882a1ULL, 92, 5}},
+      {PinOp::kBufferedFlush, 7,
+       {1314, 48, 0xea35ed59fb6e1b88ULL, 0x1bcbe827d548be87ULL, 88, 3}},
+      {PinOp::kBufferedFlush, 8,
+       {1421, 54, 0xa2a83c124c4bab52ULL, 0x32dc53edf9c87946ULL, 94, 4}},
+      {PinOp::kBufferedFlush, 9,
+       {1431, 50, 0xfc40f6febbe94e97ULL, 0x99c01bb528e882a1ULL, 101, 5}},
+      {PinOp::kMdLazy, 7,
+       {7687, 4503, 0xa725fd867603c0a0ULL, 0xb88c0ebe8cc65869ULL, 0, 0}},
+      {PinOp::kMdLazy, 8,
+       {6354, 2861, 0x3428ecc614622f9dULL, 0x33965f82614c1ae0ULL, 0, 0}},
+      {PinOp::kMdLazy, 9,
+       {6148, 2589, 0x68672903b5d144ceULL, 0x2cf30dfb9db3f382ULL, 0, 0}},
+      {PinOp::kMdEager, 7,
+       {6398, 2480, 0x3ae7635c8909e0eaULL, 0xb88c0ebe8cc65869ULL, 0, 0}},
+      {PinOp::kMdEager, 8,
+       {6175, 2256, 0x99ebae7c5437e312ULL, 0x33965f82614c1ae0ULL, 0, 0}},
+      {PinOp::kMdEager, 9,
+       {6436, 2537, 0xb2d991b162d13b55ULL, 0x2cf30dfb9db3f382ULL, 0, 0}},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(::testing::Message() << "op " << static_cast<int>(g.op)
+                                      << " seed " << g.seed);
+    const PinTotals got = RunPinWorkload(g.op, g.seed);
+    EXPECT_EQ(got.uses, g.want.uses);
+    EXPECT_EQ(got.trips, g.want.trips);
+    EXPECT_EQ(got.chain_hash, g.want.chain_hash);
+    EXPECT_EQ(got.winners_hash, g.want.winners_hash);
+    EXPECT_EQ(got.general_picks, g.want.general_picks);
+    EXPECT_EQ(got.coarsen_merges, g.want.coarsen_merges);
+  }
+}
+
 // ------------------------------------------------------------ MD and fusion
 
 TEST(ProbeSchedTest, FusedMdWinnersMatchUnfusedAndOracle) {

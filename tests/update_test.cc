@@ -1,5 +1,8 @@
 #include <cstdio>
+#include <string>
 #include <vector>
+
+#include "common/serial.h"
 
 #include "edbms/cipherbase_qpf.h"
 #include "gtest/gtest.h"
@@ -255,6 +258,63 @@ TEST(PrkbIoTest, LoadRejectsGarbage) {
   auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);
   PrkbIndex index(&db);
   EXPECT_FALSE(LoadPrkb(&index, path).ok());
+  std::remove(path.c_str());
+}
+
+// Writes a v3 snapshot of one 3-partition chain {0} {1} {2} on attribute 0
+// carrying two comparison cuts: the first on boundary 0|1, the second on the
+// boundary right of chain position `second_left_pos`.
+void WriteTwoCutSnapshot(const std::string& path, CipherbaseEdbms* db,
+                         uint64_t second_left_pos) {
+  Encoder enc;
+  enc.PutU32(0x50524B42);  // "PRKB"
+  enc.PutU8(3);
+  enc.PutVarint(1);  // one attribute
+  enc.PutU32(0);
+  enc.PutVarint(3);  // k
+  for (uint64_t tid = 0; tid < 3; ++tid) {
+    enc.PutVarint(1);
+    enc.PutVarint(tid);
+  }
+  enc.PutVarint(2);  // live cuts
+  const uint64_t left_pos[] = {0, second_left_pos};
+  for (uint64_t i = 0; i < 2; ++i) {
+    enc.PutU64(i + 1);  // cut id
+    enc.PutVarint(left_pos[i]);
+    enc.PutU8(1);  // left label
+    enc.PutU64(Pop::kNoCut);  // no sibling
+    EncodeTrapdoor(&enc, db->MakeComparison(0, CompareOp::kLt,
+                                            static_cast<Value>(15 + 10 * i)));
+  }
+  enc.PutU64(3);     // next cut id
+  enc.PutVarint(0);  // fast-path entries
+  enc.PutVarint(0);  // buffered tuples
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(enc.buffer().data(), 1, enc.buffer().size(), f);
+  std::fclose(f);
+}
+
+TEST(PrkbIoTest, LoadRejectsTwoCutsOnOneBoundary) {
+  PlainTable plain(1);
+  for (Value v : {10, 20, 30}) plain.AddRow({v});
+  auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);
+  const std::string path = "/tmp/prkb_io_stacked_cuts.bin";
+
+  // Control: the same snapshot with the cuts on distinct boundaries loads.
+  WriteTwoCutSnapshot(path, &db, /*second_left_pos=*/1);
+  PrkbIndex ok_index(&db);
+  ASSERT_TRUE(LoadPrkb(&ok_index, path).ok());
+  EXPECT_NE(ok_index.pop(0).CutAt(1), nullptr);
+  EXPECT_NE(ok_index.pop(0).CutAt(2), nullptr);
+
+  // Both cuts on boundary 0|1: every boundary holds at most one live cut.
+  WriteTwoCutSnapshot(path, &db, /*second_left_pos=*/0);
+  PrkbIndex stacked(&db);
+  const Status s = LoadPrkb(&stacked, path);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("share a boundary"), std::string::npos)
+      << s.ToString();
   std::remove(path.c_str());
 }
 
