@@ -2,7 +2,6 @@
 // new tuples appended to an existing table, PRKB vs Logarithmic-SRC-i
 // (Sec. 8.2.7).
 
-#include <cstring>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -16,13 +15,10 @@ namespace prkb::bench {
 namespace {
 
 int Main(int argc, char** argv) {
+  const BenchArgs args = BenchArgs::Parse(argc, argv, /*default_scale=*/0.02);
   // --smoke: CI-sized run (tiny table, same shape) so the schema gate can
   // execute this bench on every push without paying the full workload.
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  const BenchArgs args = BenchArgs::Parse(argc, argv, /*default_scale=*/0.02);
+  const bool smoke = args.smoke;
   const size_t base_rows = smoke ? 2'000 : ScaledRows(10'000'000, args.scale);
   const size_t batch_rows = smoke ? 400 : ScaledRows(2'000'000, args.scale);
   const size_t warm_partitions = smoke ? 40 : 250;

@@ -25,6 +25,8 @@ BenchArgs BenchArgs::Parse(int argc, char** argv, double default_scale) {
       args.json_path = a + 7;
     } else if (std::strncmp(a, "--trace=", 8) == 0) {
       args.trace_path = a + 8;
+    } else if (std::strcmp(a, "--smoke") == 0) {
+      args.smoke = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a);
     }

@@ -25,16 +25,18 @@ namespace prkb::bench {
 ///                  a few microseconds emulates FPGA/coprocessor round trips
 ///                  and reproduces the paper's absolute-time regime)
 ///   --json=<path>  additionally writes the run's measurements as a
-///                  machine-readable JSON file (see JsonBench) so checked-in
-///                  baselines can track the perf trajectory across PRs
+///                  machine-readable JSON file (see JsonBench)
 ///   --trace=<path> enables the span tracer for the whole run and exports
 ///                  a Chrome trace_event JSON (open in chrome://tracing or
 ///                  https://ui.perfetto.dev) when the binary writes output
+///   --smoke        CI-sized run of the same shape, for binaries that
+///                  define one (bench_table4_update); others ignore it
 struct BenchArgs {
   double scale;
   uint64_t seed = 42;
   int queries = -1;  // -1 = binary default
   uint64_t tm_latency_ns = 0;
+  bool smoke = false;
   std::string json_path;   // empty = no JSON output
   std::string trace_path;  // empty = tracer stays disabled
 
@@ -44,9 +46,9 @@ struct BenchArgs {
 
 /// Collects measurement rows and writes them as one flat JSON document:
 /// `{"bench": ..., "config": {...}, "rows": [{...}, ...], "metrics": {...}}`.
-/// Values are numbers or strings only — enough for diffing checked-in
-/// baselines. The "metrics" block is a flattened snapshot of the process
-/// obs registry taken at write time (docs/BENCH_FORMAT.md).
+/// Values are numbers or strings only — enough for diffing two runs. The
+/// "metrics" block is a flattened snapshot of the process obs registry
+/// taken at write time (docs/BENCH_FORMAT.md).
 class JsonBench {
  public:
   JsonBench(std::string bench_name, const BenchArgs& args);

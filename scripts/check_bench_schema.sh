@@ -2,8 +2,8 @@
 # Validates that a bench JSON document follows the layout contracted in
 # docs/BENCH_FORMAT.md: top-level bench/config/rows/metrics, the common
 # config keys, non-empty rows with a consistent key set, and a flat
-# scalar-valued metrics block. Guards checked-in baselines (BENCH_*.json)
-# and the CI smoke runs against silent schema drift.
+# scalar-valued metrics block. Guards the CI smoke run against silent
+# schema drift.
 #
 # Usage: scripts/check_bench_schema.sh <file.json> [expected_row_key ...]
 

@@ -15,6 +15,8 @@ struct TmMetrics {
   obs::Counter* entries;
   obs::Counter* evals;
   obs::Counter* value_decrypts;
+  obs::Counter* trapdoor_hits;
+  obs::Counter* trapdoor_misses;
   obs::LatencyHistogram* batch_cells;
 
   static const TmMetrics& Get() {
@@ -22,6 +24,8 @@ struct TmMetrics {
         obs::MetricsRegistry::Global().GetCounter("tm.entries"),
         obs::MetricsRegistry::Global().GetCounter("tm.evals"),
         obs::MetricsRegistry::Global().GetCounter("tm.value_decrypts"),
+        obs::MetricsRegistry::Global().GetCounter("tm.trapdoor_hits"),
+        obs::MetricsRegistry::Global().GetCounter("tm.trapdoor_misses"),
         obs::MetricsRegistry::Global().GetHistogram("tm.batch_cells"),
     };
     return m;
@@ -73,10 +77,12 @@ bool TrustedMachine::Open(const Trapdoor& td, PlainPredicate* out) {
           std::equal(td.blob.begin(), td.blob.end(), v.blob.begin(),
                      v.blob.end())) {
         *out = v.pred;
+        TmMetrics::Get().trapdoor_hits->Add(1);
         return true;
       }
     }
   }
+  TmMetrics::Get().trapdoor_misses->Add(1);
   TrapdoorPayload p;
   if (!OpenTrapdoor(trapdoor_cipher_, trapdoor_mac_, td, &p)) return false;
   *out = PlainPredicate{
@@ -85,8 +91,14 @@ bool TrustedMachine::Open(const Trapdoor& td, PlainPredicate* out) {
   // OpenTrapdoor accepts only blobs of exactly kTrapdoorBlobSize bytes.
   std::copy(td.blob.begin(), td.blob.end(), v.blob.begin());
   std::unique_lock<std::shared_mutex> lock(verified_mu_);
+  if (verified_.size() >= kVerifiedCapacity) verified_.clear();
   verified_.try_emplace(td.uid, v);
   return true;
+}
+
+size_t TrustedMachine::verified_size() const {
+  std::shared_lock<std::shared_mutex> lock(verified_mu_);
+  return verified_.size();
 }
 
 bool TrustedMachine::EvalPredicate(const Trapdoor& td, const EncValue& cell,

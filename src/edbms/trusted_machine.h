@@ -111,6 +111,14 @@ class TrustedMachine {
     round_trips_.store(0, std::memory_order_relaxed);
   }
 
+  /// Most verified trapdoors the TM keeps. A newly verified trapdoor that
+  /// finds the cache this full empties it first, so the TM's memory stays
+  /// bounded however many trapdoors it is shown; a trapdoor opened again
+  /// after an emptying pays one more MAC check.
+  static constexpr size_t kVerifiedCapacity = size_t{1} << 16;
+  /// Verified trapdoors held right now (at most kVerifiedCapacity).
+  size_t verified_size() const;
+
  private:
   /// A trapdoor whose MAC has been checked: its sealed blob, and the plain
   /// predicate it opens to (attr and kind from the MAC-bound header).
@@ -132,7 +140,7 @@ class TrustedMachine {
   crypto::HmacSha256 trapdoor_mac_;
   // Verified trapdoors, keyed by uid: MAC verification happens once per
   // trapdoor, not once per tuple. Guarded for parallel scan workers.
-  std::shared_mutex verified_mu_;
+  mutable std::shared_mutex verified_mu_;
   std::unordered_map<uint64_t, Verified> verified_;
   std::atomic<uint64_t> predicate_evals_{0};
   std::atomic<uint64_t> value_decrypts_{0};

@@ -58,7 +58,8 @@ class CostCalibrator {
   static constexpr double kCalibratedFanoutFloorNs = 1e4;
   /// EWMA weight of a new sample for the two constant fits: a half-life of
   /// one sample, so a transport shift is re-fitted within a handful of
-  /// queries in either direction (bench_adaptive_drift gates the decay).
+  /// queries in either direction (AdaptiveDriftTest in tests/exec_test.cc
+  /// holds the decay to its bound).
   static constexpr double kFitAlpha = 0.5;
   /// EWMA weight of a new sample for per-route estimate-error ratios.
   static constexpr double kErrAlpha = 0.5;

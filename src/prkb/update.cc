@@ -238,7 +238,8 @@ struct Search {
 /// the paper's one-cut-per-trip binary placement exactly (a lone lane ships
 /// as a scalar Eval). Each search's picks depend only on its own candidate
 /// set, so a batch evaluates exactly the eager sequence's (cut, tuple)
-/// pairs — only the round trips collapse (BENCH_write_heavy.json).
+/// pairs — only the round trips collapse
+/// (DifferentialTest.FlushRouteIsByteIdenticalToEagerPlacement).
 void RunSearches(const Pop& pop, edbms::QpfOracle* qpf, size_t fanout,
                  bool use_memo, std::vector<Search>* searches) {
   const PickRules rules(pop);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <thread>
@@ -35,6 +36,11 @@ using net::RoundBusOptions;
 /// Deterministic Θ stand-in that records every backend entry it serves.
 class FakeOracle : public edbms::QpfOracle {
  public:
+  /// A positive `entry_ns` makes this a serial backend: entries queue on
+  /// one mutex and each holds it for `entry_ns`, like a trusted machine
+  /// that serves one entry at a time.
+  explicit FakeOracle(uint64_t entry_ns = 0) : entry_ns_(entry_ns) {}
+
   static bool Formula(const Trapdoor& td, TupleId tid) {
     return (td.uid + tid) % 3 == 0;
   }
@@ -54,12 +60,18 @@ class FakeOracle : public edbms::QpfOracle {
   }
 
  private:
-  bool DoEval(const Trapdoor& td, TupleId tid) override {
+  void Serve() {
     entries_.fetch_add(1, std::memory_order_relaxed);
+    if (entry_ns_ == 0) return;
+    const std::lock_guard<std::mutex> lock(serial_mu_);
+    std::this_thread::sleep_for(std::chrono::nanoseconds(entry_ns_));
+  }
+  bool DoEval(const Trapdoor& td, TupleId tid) override {
+    Serve();
     return Formula(td, tid);
   }
   BitVector DoEvalMany(std::span<const ProbeRequest> reqs) override {
-    entries_.fetch_add(1, std::memory_order_relaxed);
+    Serve();
     {
       const std::lock_guard<std::mutex> lock(mu_);
       auto& cap = captured_.emplace_back();
@@ -75,7 +87,9 @@ class FakeOracle : public edbms::QpfOracle {
     return out;
   }
 
+  const uint64_t entry_ns_;
   std::atomic<uint64_t> entries_{0};
+  std::mutex serial_mu_;
   mutable std::mutex mu_;
   std::vector<std::vector<CapturedItem>> captured_;
 };
@@ -126,40 +140,34 @@ TEST(RoundBusTest, AdaptiveLingerFollowsFittedLatency) {
   EXPECT_EQ(bus.linger_ns(), 0u);
 }
 
-TEST(RoundBusTest, ConcurrentSubmittersMergeIntoFewerEntries) {
-  FakeOracle fake;
-  RoundBusOptions opts;
-  opts.adaptive_linger = false;
-  opts.linger_ns = 5'000'000;  // 5ms: every thread's round lands in-window
-  RoundBus bus(&fake, opts);
+constexpr size_t kReqsPerRound = 16;
 
-  constexpr size_t kThreads = 8;
-  constexpr size_t kRoundsPerThread = 5;
-  constexpr size_t kReqsPerRound = 16;
-
+/// Starts `threads` submitters together; each exchanges `rounds` rounds of
+/// kReqsPerRound probes under its own trapdoor. Returns the number of bits
+/// that came back wrong.
+uint64_t DriveSubmitters(RoundBus* bus, size_t threads, size_t rounds) {
   std::vector<Trapdoor> tds;
-  tds.reserve(kThreads);
-  for (size_t i = 0; i < kThreads; ++i) {
+  tds.reserve(threads);
+  for (size_t i = 0; i < threads; ++i) {
     tds.push_back(MakeFakeTrapdoor(100 + i));
   }
 
   std::atomic<size_t> ready{0};
   std::atomic<uint64_t> wrong{0};
   std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (size_t w = 0; w < kThreads; ++w) {
+  workers.reserve(threads);
+  for (size_t w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
       ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }
-      for (size_t r = 0; r < kRoundsPerThread; ++r) {
+      while (ready.load() < threads) std::this_thread::yield();
+      for (size_t r = 0; r < rounds; ++r) {
         std::vector<ProbeRequest> reqs;
         reqs.reserve(kReqsPerRound);
         for (size_t i = 0; i < kReqsPerRound; ++i) {
           reqs.push_back(
               {&tds[w], static_cast<TupleId>(r * kReqsPerRound + i)});
         }
-        const BitVector bits = bus.Exchange(reqs);
+        const BitVector bits = bus->Exchange(reqs);
         if (bits.size() != reqs.size()) {
           wrong.fetch_add(1);
           continue;
@@ -173,8 +181,19 @@ TEST(RoundBusTest, ConcurrentSubmittersMergeIntoFewerEntries) {
     });
   }
   for (std::thread& t : workers) t.join();
+  return wrong.load();
+}
 
-  EXPECT_EQ(wrong.load(), 0u);
+TEST(RoundBusTest, ConcurrentSubmittersMergeIntoFewerEntries) {
+  FakeOracle fake;
+  RoundBusOptions opts;
+  opts.adaptive_linger = false;
+  opts.linger_ns = 5'000'000;  // 5ms: every thread's round lands in-window
+  RoundBus bus(&fake, opts);
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRoundsPerThread = 5;
+  EXPECT_EQ(DriveSubmitters(&bus, kThreads, kRoundsPerThread), 0u);
   const RoundBus::Stats st = bus.stats();
   EXPECT_EQ(st.rounds, kThreads * kRoundsPerThread);
   EXPECT_EQ(st.requests, kThreads * kRoundsPerThread * kReqsPerRound);
@@ -183,6 +202,20 @@ TEST(RoundBusTest, ConcurrentSubmittersMergeIntoFewerEntries) {
   EXPECT_LE(fake.entries(), kThreads * kRoundsPerThread / 2);
   EXPECT_GT(st.merged_rounds, 0u);
   EXPECT_GT(bus.factor(), 1.0);
+
+  // 64 submitters in front of a serial backend that takes 300 us per entry,
+  // with the window the bus derives from a fitted 300 us latency: while one
+  // entry is served the next fills, so entries per logical round must fall
+  // at least 4x below the one entry per round of an uncoalesced transport.
+  constexpr size_t kSerialThreads = 64;
+  constexpr size_t kSerialRounds = 6;
+  FakeOracle serial(300'000);
+  RoundBus serial_bus(&serial);
+  serial_bus.SetFittedLatency(300'000);
+  EXPECT_EQ(DriveSubmitters(&serial_bus, kSerialThreads, kSerialRounds), 0u);
+  EXPECT_EQ(serial_bus.stats().rounds, kSerialThreads * kSerialRounds);
+  EXPECT_LE(4 * serial.entries(), kSerialThreads * kSerialRounds)
+      << serial.entries() << " entries";
 }
 
 TEST(RoundBusTest, ValueEqualTrapdoorsDedupAcrossRequests) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <random>
 #include <thread>
 #include <vector>
@@ -317,6 +318,38 @@ TEST(TrustedMachineTest, ConcurrentBatchAndMultiEntriesStayExact) {
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
   EXPECT_EQ(f.tm.predicate_evals(), kThreads * fresh.size() * 2 * 200);
   EXPECT_EQ(f.tm.round_trips(), kThreads * fresh.size() * 2);
+}
+
+// A long-running TM is shown a fresh trapdoor with every query. Through 10^6
+// of them the verified cache never holds more than its capacity, a trapdoor
+// opened again right away still answers from the cache, and the hit and
+// miss counters account for every open.
+TEST(TrustedMachineTest, VerifiedCacheStaysBoundedOverAMillionTrapdoors) {
+  DataOwner owner(kSeed);
+  TrustedMachine tm(kSeed);
+  const EncValue cell = owner.EncryptRow({7})[0];
+  obs::Counter* hits =
+      obs::MetricsRegistry::Global().GetCounter("tm.trapdoor_hits");
+  obs::Counter* misses =
+      obs::MetricsRegistry::Global().GetCounter("tm.trapdoor_misses");
+  const uint64_t hits0 = hits->value();
+  const uint64_t misses0 = misses->value();
+
+  constexpr uint64_t kTrapdoors = 1'000'000;
+  uint64_t wrong = 0;
+  size_t max_size = 0;
+  for (uint64_t i = 0; i < kTrapdoors; ++i) {
+    const Value c = static_cast<Value>(i % 16);
+    const Trapdoor td = owner.MakeComparison(0, CompareOp::kLt, c);
+    wrong += tm.EvalPredicate(td, cell) != (7 < c);  // miss: MAC checked
+    wrong += tm.EvalPredicate(td, cell) != (7 < c);  // hit
+    max_size = std::max(max_size, tm.verified_size());
+  }
+  EXPECT_EQ(wrong, 0u);
+  // Filled to the bound, never past it.
+  EXPECT_EQ(max_size, TrustedMachine::kVerifiedCapacity);
+  EXPECT_EQ(misses->value() - misses0, kTrapdoors);
+  EXPECT_EQ(hits->value() - hits0, kTrapdoors);
 }
 
 // --------------------------------------------------------------- Backends

@@ -464,7 +464,7 @@ TEST_F(BufferSemanticsTest, ConcurrentBufferedInsertsStayExact) {
   constexpr int kPerWriter = 20;
   // Rows and trapdoors are produced up front: encryption and trapdoor
   // issuance live in the client-side DataOwner, which sits outside the
-  // SP-side concurrency story (same idiom as bench_concurrent).
+  // SP-side concurrency story (same idiom as concurrent_stress_test.cc).
   std::vector<std::vector<std::vector<edbms::Value>>> rows(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     Rng rng(1000 + w);

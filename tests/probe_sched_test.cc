@@ -19,6 +19,7 @@
 #include "prkb/selection.h"
 #include "tests/test_util.h"
 #include "workload/query_gen.h"
+#include "workload/synthetic_table.h"
 
 namespace prkb::core {
 namespace {
@@ -577,6 +578,53 @@ TEST(ProbeSchedTest, RoundsPerCallStaysWithinTheScheduleBound) {
   // The tight m-ary per-call form (2 + ceil(log_m k)) is asserted in
   // obs_integration_test.cc, whose process records default-fanout calls
   // only.
+
+  // The price of the fewer rounds: at m = 8 the narrowing loop spends
+  // (m - 1) / lg m = 7/3 times the m = 2 control's search probes, within
+  // 15%. The ratio nears that bound only once k spans several m-ary
+  // levels, so this runs on a 20k-row chain warmed to 512 partitions,
+  // over 20 fresh comparisons interleaved with 20 BETWEENs. Search probes
+  // leave out the two end probes of each QFilter call.
+  workload::SyntheticSpec spec;
+  spec.rows = 20000;
+  spec.domain_lo = 0;
+  spec.domain_hi = 999999;
+  const PlainTable big = workload::MakeSyntheticTable(spec);
+  const auto search_probes = [&](PrkbOptions opts) {
+    opts.seed = 42;
+    opts.batch_size = 4096;
+    auto bdb = CipherbaseEdbms::FromPlainTable(42, big);
+    PrkbIndex bindex(&bdb, opts);
+    bindex.EnableAttr(0);
+    workload::QueryGen warm(spec.domain_lo, spec.domain_hi, 43);
+    for (int q = 0; q < 100000 && bindex.pop(0).k() < 512; ++q) {
+      const auto p = warm.RandomComparison(0);
+      bindex.Select(bdb.MakeComparison(p.attr, p.op, p.lo));
+    }
+    workload::QueryGen cmp(spec.domain_lo, spec.domain_hi, 44);
+    Rng btw(45);
+    obs::Counter* probes = reg.GetCounter("qfilter.probes");
+    obs::Counter* calls = reg.GetCounter("qfilter.invocations");
+    uint64_t search = 0;
+    for (int q = 0; q < 40; ++q) {
+      if (q % 2 == 1) {
+        const Value lo = btw.UniformInt64(0, 900000);
+        bindex.Select(bdb.MakeBetween(0, lo, lo + btw.UniformInt64(0, 80000)));
+        continue;
+      }
+      const auto p = cmp.RandomComparison(0);
+      const uint64_t probes0 = probes->value();
+      const uint64_t calls0 = calls->value();
+      bindex.Select(bdb.MakeComparison(p.attr, p.op, p.lo));
+      search += (probes->value() - probes0) - 2 * (calls->value() - calls0);
+    }
+    return static_cast<double>(search);
+  };
+  PrkbOptions m8;
+  m8.probe_fanout = 8;
+  const double inflation =
+      search_probes(m8) / search_probes(testutil::FanoutTwoControl());
+  EXPECT_NEAR(inflation, 7.0 / 3.0, 0.15 * 7.0 / 3.0);
 }
 
 TEST(ProbeSchedTest, FastPathRepeatSkipsTheSchedulerEntirely) {
