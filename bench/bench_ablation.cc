@@ -112,10 +112,9 @@ int Main(int argc, char** argv) {
       early.Add(static_cast<double>(db.uses() - before));
       // Scan-both alternative: always pay both partitions in full.
       both.Add(static_cast<double>(
-          index.pop(0).members_at(filter.ns_a).Size() +
-          (filter.ns_b != filter.ns_a
-               ? index.pop(0).members_at(filter.ns_b).Size()
-               : 0)));
+          index.pop(0).size_at(filter.ns_a) +
+          (filter.ns_b != filter.ns_a ? index.pop(0).size_at(filter.ns_b)
+                                      : 0)));
     }
     TablePrinter tp("(b) NS-pair scan cost");
     tp.SetHeader({"strategy", "mean #QPF"});

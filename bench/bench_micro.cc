@@ -235,6 +235,45 @@ void BM_MdSelectWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_MdSelectWarm)->Iterations(400);
 
+/// One chain over 20 000 rows warmed by fresh comparisons to k = 3 000,
+/// the chain length the ledger's 15 s SQL run reaches: partitions hold ~7
+/// tuples, so a sure answer spans thousands of partitions.
+struct AssemblyWarmState {
+  edbms::CipherbaseEdbms db;
+  core::PrkbIndex index;
+  workload::QueryGen gen;
+  std::vector<edbms::Trapdoor> warm;
+
+  AssemblyWarmState()
+      : db(MixedWarmIndexState::MakeDb()),
+        index(&db, core::PrkbOptions{.seed = 3}),
+        gen(1, 30'000'000, 13) {
+    index.EnableAttr(0);
+    while (index.pop(0).k() < 3000) {
+      const auto p = gen.RandomComparison(0);
+      warm.push_back(db.MakeComparison(p.attr, p.op, p.lo));
+      index.Select(warm.back());
+    }
+  }
+};
+
+/// Winner assembly on a warm chain: a fast-path repeat (the whole answer is
+/// the satisfied side of one cut, zero QPF) plus a fresh comparison (TW
+/// run, QFilter, QScan and one split).
+void BM_WinnerAssemblyWarm(benchmark::State& state) {
+  static auto* s = new AssemblyWarmState();
+  Rng rng(14);
+  for (auto _ : state) {
+    const auto& repeat = s->warm[rng.UniformInt(0, s->warm.size() - 1)];
+    benchmark::DoNotOptimize(s->index.Select(repeat));
+    const auto p = s->gen.RandomComparison(0);
+    benchmark::DoNotOptimize(
+        s->index.Select(s->db.MakeComparison(p.attr, p.op, p.lo)));
+  }
+  state.counters["k"] = static_cast<double>(s->index.pop(0).k());
+}
+BENCHMARK(BM_WinnerAssemblyWarm)->Iterations(2000);
+
 }  // namespace
 }  // namespace prkb::bench
 

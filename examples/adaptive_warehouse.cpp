@@ -121,8 +121,8 @@ int main() {
   auto min_at_front = [&](edbms::AttrId attr) {
     const auto& pop = restarted.pop(attr);
     if (pop.k() < 2) return true;
-    return plain.at(attr, pop.members_at(0).Select(0)) <
-           plain.at(attr, pop.members_at(pop.k() - 1).Select(0));
+    return plain.at(attr, pop.tuples(0, 1)[0]) <
+           plain.at(attr, pop.tuples(pop.k() - 1, pop.k())[0]);
   };
   const auto sky =
       ext::SkylineMinMin(restarted, &db, 0, 1, min_at_front(0),

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 #include "common/bitvector.h"
 #include "edbms/batch_scan.h"
@@ -158,16 +159,12 @@ std::vector<TupleId> Executor::RunComparison(
   scan_cost.Commit(node->Child(PlanOp::kPartitionScan));
   core::RecordSpeculativeWaste(prepaid);
 
-  // Assemble TW ∪ TWNS.
+  // Assemble TW ∪ TWNS: TW is one contiguous run of the chain's layout.
+  const std::span<const TupleId> tw =
+      pop.tuples(filter.win_begin, filter.win_end);
   std::vector<TupleId> result;
-  size_t win_size = 0;
-  for (size_t p = filter.win_begin; p < filter.win_end; ++p) {
-    win_size += pop.members_at(p).Size();
-  }
-  result.reserve(win_size + scan.winners.size());
-  for (size_t p = filter.win_begin; p < filter.win_end; ++p) {
-    pop.members_at(p).AppendTo(&result);
-  }
+  result.reserve(tw.size() + scan.winners.size());
+  result.assign(tw.begin(), tw.end());
   result.insert(result.end(), scan.winners.begin(), scan.winners.end());
 
   const obs::ObsTracer::Span split_span("exec.apply_split");

@@ -33,10 +33,11 @@ ExtremeResult FindExtreme(const core::PrkbIndex& index,
     const core::Pop& pop = index.pop(attr);
     // The extreme lives in one of the two end partitions — the SP does not
     // know which end is which, so both are candidates.
-    pop.members_at(0).ForEach([&](TupleId tid) { consider(tid, &best); });
+    for (TupleId tid : pop.tuples(0, 1)) consider(tid, &best);
     if (pop.k() > 1) {
-      pop.members_at(pop.k() - 1).ForEach(
-          [&](TupleId tid) { consider(tid, &best); });
+      for (TupleId tid : pop.tuples(pop.k() - 1, pop.k())) {
+        consider(tid, &best);
+      }
     }
   } else {
     for (TupleId tid = 0; tid < db->num_rows(); ++tid) {

@@ -213,8 +213,10 @@ std::vector<TupleId> PrkbIndex::SelectBetween(const Trapdoor& td,
   for (const auto& [pos, sp] : scanned) {
     result.insert(result.end(), sp.t_members.begin(), sp.t_members.end());
   }
-  for (size_t p = middle_begin; p < middle_end; ++p) {
-    pop.members_at(p).AppendTo(&result);
+  if (middle_begin < middle_end) {
+    const std::span<const TupleId> middle =
+        pop.tuples(middle_begin, middle_end);
+    result.insert(result.end(), middle.begin(), middle.end());
   }
 
   // ---- Phase 4: updatePRKB. ----

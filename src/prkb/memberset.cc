@@ -179,35 +179,6 @@ bool MemberSet::ContainerRemove(Container* c, uint16_t low) {
   return true;
 }
 
-uint16_t MemberSet::ContainerSelect(const Container& c, size_t rank) {
-  assert(rank < c.n);
-  switch (c.kind) {
-    case Container::kArray:
-      return c.vals[rank];
-    case Container::kRun:
-      for (size_t i = 0; i + 1 < c.vals.size(); i += 2) {
-        const size_t len = static_cast<size_t>(c.vals[i + 1]) + 1;
-        if (rank < len) return static_cast<uint16_t>(c.vals[i] + rank);
-        rank -= len;
-      }
-      break;
-    case Container::kBitmap:
-      for (size_t w = 0; w < c.bits.size(); ++w) {
-        const size_t pop = static_cast<size_t>(__builtin_popcountll(c.bits[w]));
-        if (rank >= pop) {
-          rank -= pop;
-          continue;
-        }
-        uint64_t word = c.bits[w];
-        while (rank-- > 0) word &= word - 1;
-        return static_cast<uint16_t>(w * 64 + __builtin_ctzll(word));
-      }
-      break;
-  }
-  assert(false && "rank out of range");
-  return 0;
-}
-
 // --- MemberSet container lookup ---------------------------------------------
 
 size_t MemberSet::LowerBound(uint16_t key) const {
@@ -305,16 +276,6 @@ bool MemberSet::Remove(TupleId tid) {
 bool MemberSet::Contains(TupleId tid) const {
   const Container* c = FindContainer(KeyOf(tid));
   return c != nullptr && ContainerContains(*c, LowOf(tid));
-}
-
-TupleId MemberSet::Select(size_t rank) const {
-  assert(rank < size_);
-  for (const Container& c : containers_) {
-    if (rank < c.n) return Join(c.key, ContainerSelect(c, rank));
-    rank -= c.n;
-  }
-  assert(false && "rank out of range");
-  return 0;
 }
 
 void MemberSet::Clear() {
@@ -520,12 +481,8 @@ void MemberSet::UnionWith(const MemberSet& other) {
 std::vector<TupleId> MemberSet::ToVector() const {
   std::vector<TupleId> out;
   out.reserve(size_);
-  AppendTo(&out);
+  ForEach([&out](TupleId tid) { out.push_back(tid); });
   return out;
-}
-
-void MemberSet::AppendTo(std::vector<TupleId>* out) const {
-  ForEach([out](TupleId tid) { out->push_back(tid); });
 }
 
 // --- Maintenance / accounting ------------------------------------------------

@@ -26,7 +26,9 @@ namespace prkb::core {
 ///             hidden sorted order, so its tuple ids form O(1) runs.
 ///
 /// Iteration is always in ascending tuple-id order, which makes every
-/// consumer deterministic (winner assembly, WAL deltas, snapshot encoding).
+/// consumer deterministic (the chain's layout rebuild, WAL deltas, snapshot
+/// encoding). Selections do not read MemberSets: they read the chain's
+/// contiguous tuple layout (Pop::tuples), which mirrors them.
 /// Mutations keep containers in their cheapest *mutable* form (array/bitmap);
 /// `Optimize()` re-packs clumped containers into runs and is called by the
 /// bulk constructors, so freshly split partitions are born compressed.
@@ -46,8 +48,6 @@ class MemberSet {
   /// Erases `tid`; returns false if it was absent.
   bool Remove(edbms::TupleId tid);
   bool Contains(edbms::TupleId tid) const;
-  /// The rank-th smallest member (0-based). rank < Size() required.
-  edbms::TupleId Select(size_t rank) const;
 
   size_t Size() const { return size_; }
   bool Empty() const { return size_ == 0; }
@@ -69,8 +69,6 @@ class MemberSet {
     for (const Container& c : containers_) ForEachIn(c, fn);
   }
   std::vector<edbms::TupleId> ToVector() const;
-  /// Appends all members to `out` (winner assembly without a temp vector).
-  void AppendTo(std::vector<edbms::TupleId>* out) const;
 
   /// --- Maintenance / accounting -------------------------------------------
 
@@ -123,7 +121,6 @@ class MemberSet {
   static bool ContainerContains(const Container& c, uint16_t low);
   static bool ContainerAdd(Container* c, uint16_t low);
   static bool ContainerRemove(Container* c, uint16_t low);
-  static uint16_t ContainerSelect(const Container& c, size_t rank);
   /// Converts a run container to array or bitmap (whichever fits) so point
   /// mutations stay simple.
   static void UnpackRuns(Container* c);

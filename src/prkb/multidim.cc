@@ -19,8 +19,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
+#include <iterator>
+#include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "common/bitvector.h"
 #include "edbms/batch_scan.h"
@@ -36,13 +38,14 @@ using edbms::Trapdoor;
 using edbms::TupleId;
 
 /// PRKB(MD) telemetry: band_tuples is the NS-band candidate set the grid
-/// yields; evals is the QPF spend after free-classification pruning
-/// (docs/COST_MODEL.md).
+/// yields; evals is the QPF spend after free-classification pruning;
+/// central_tuples is the zero-QPF central-region answer (docs/COST_MODEL.md).
 struct MdMetrics {
   obs::Counter* invocations;
   obs::Counter* band_tuples;
   obs::Counter* evals;
   obs::Counter* pruned_free;
+  obs::Counter* central_tuples;
 
   static const MdMetrics& Get() {
     static const MdMetrics m = {
@@ -50,6 +53,7 @@ struct MdMetrics {
         obs::MetricsRegistry::Global().GetCounter("md.band_tuples"),
         obs::MetricsRegistry::Global().GetCounter("md.evals"),
         obs::MetricsRegistry::Global().GetCounter("md.pruned_free"),
+        obs::MetricsRegistry::Global().GetCounter("md.central_tuples"),
     };
     return m;
   }
@@ -97,6 +101,21 @@ struct PredCtx {
       if (ns[i].pid == pid) return i;
     }
     return -1;
+  }
+  /// Whether every tuple of partition `pid` is known to satisfy the
+  /// trapdoor: a sure-True label, or an NS partition the partner inference
+  /// resolved to 1.
+  bool SureTrue(PartitionId pid) const {
+    const int idx = NsIndexOf(pid);
+    return LabelOf(pid) == 1 || (idx >= 0 && ns[idx].known == 1);
+  }
+  /// The chain-layout slice of partition `pid`.
+  std::span<const TupleId> TuplesOf(PartitionId pid) const {
+    const size_t pos = pop->pos_of(pid);
+    return pop->tuples(pos, pos + 1);
+  }
+  size_t SizeOf(PartitionId pid) const {
+    return pop->size_at(pop->pos_of(pid));
   }
 };
 
@@ -225,12 +244,13 @@ std::vector<TupleId> PrkbIndex::RunMd(
   const edbms::BatchPolicy policy = options_.scan_policy();
 
   // ---- Step 2: test tuples in the NS bands (Fig. 6b / Fig. 7). ----
+  // Steps 2-4 never mutate a chain (splits wait for step 5), so each band's
+  // layout slice stays valid while it is walked.
+  BitVector won(db_->num_rows());  // batched path: a chunk's winners
   for (PredCtx& owner : preds) {
     for (int i = 0; i < owner.ns_count; ++i) {
-      // Materialise: the iteration set is the membership at classification
-      // time, in ascending tuple order.
-      const std::vector<TupleId> members =
-          owner.pop->members(owner.ns[i].pid).ToVector();
+      // The membership at classification time, in ascending tuple order.
+      const std::span<const TupleId> members = owner.TuplesOf(owner.ns[i].pid);
 
       if (!policy.batched()) {
         // Scalar path: per tuple, cheap classification pass, then undecided
@@ -289,8 +309,6 @@ std::vector<TupleId> PrkbIndex::RunMd(
           alive.push_back(tid);
         }
         metrics.band_tuples->Add(alive.size());
-        const std::vector<TupleId> chunk_order = alive;
-        std::unordered_map<TupleId, bool> won;
 
         while (!alive.empty()) {
           std::vector<std::vector<TupleId>> need(preds.size());
@@ -310,7 +328,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
             }
             if (rejected) continue;
             if (first_undecided < 0) {
-              won.emplace(tid, true);  // sure-true under every trapdoor
+              won.Set(tid);  // sure-true under every trapdoor
               continue;
             }
             need[first_undecided].push_back(tid);
@@ -328,8 +346,15 @@ std::vector<TupleId> PrkbIndex::RunMd(
             }
           }
         }
-        for (TupleId tid : chunk_order) {
-          if (won.contains(tid)) result.push_back(tid);
+        // Winners in band order. Clearing each flag as it is emitted leaves
+        // the array empty for the next chunk, whose slice may hold tuples
+        // an earlier band already emitted.
+        for (size_t m = base; m < end; ++m) {
+          const TupleId tid = members[m];
+          if (won.Get(tid)) {
+            result.push_back(tid);
+            won.Clear(tid);
+          }
         }
       }
     }
@@ -337,39 +362,74 @@ std::vector<TupleId> PrkbIndex::RunMd(
 
   // ---- Step 3: central region — sure-True under every trapdoor. ----
   // Every tuple of an NS partition was visited in step 2, so an unvisited
-  // tuple is sure-True under a trapdoor iff its partition is. The region is
-  // therefore the same whichever trapdoor drives the walk; drive it from the
-  // one with the fewest sure-True tuples and classify against the others.
+  // tuple is sure-True under a trapdoor iff its partition is. Trapdoors on
+  // one chain combine position-wise into runs of partitions; on the chain
+  // whose runs hold the fewest tuples the region is walked as contiguous
+  // layout slices, each other chain contributes a tuple bitset of its runs,
+  // and the walk keeps a tuple iff every bitset has it and step 2 did not.
   {
-    const auto sure_true = [](const PredCtx& pc, PartitionId pid) {
-      const int idx = pc.NsIndexOf(pid);
-      return pc.LabelOf(pid) == 1 || (idx >= 0 && pc.ns[idx].known == 1);
+    struct ChainRuns {
+      const Pop* pop;
+      std::vector<uint8_t> sure;  // by position: sure-True under all its preds
+      std::vector<std::pair<size_t, size_t>> runs;  // [begin, end) positions
+      size_t tuples = 0;
     };
-    size_t drive = 0;
-    size_t drive_tuples = std::numeric_limits<size_t>::max();
-    for (size_t p = 0; p < preds.size(); ++p) {
-      size_t n = 0;
-      for (size_t pos = 0; pos < preds[p].pop->k(); ++pos) {
-        const PartitionId pid = preds[p].pop->pid_at(pos);
-        if (sure_true(preds[p], pid)) n += preds[p].pop->members(pid).Size();
+    std::vector<ChainRuns> chains;
+    for (const PredCtx& pc : preds) {
+      auto it =
+          std::find_if(chains.begin(), chains.end(),
+                       [&](const ChainRuns& c) { return c.pop == pc.pop; });
+      if (it == chains.end()) {
+        chains.push_back(ChainRuns{pc.pop, std::vector<uint8_t>(pc.pop->k(), 1),
+                                   {}, 0});
+        it = std::prev(chains.end());
       }
-      if (n < drive_tuples) {
-        drive = p;
-        drive_tuples = n;
-      }
-    }
-    const PredCtx& lead = preds[drive];
-    for (size_t pos = 0; pos < lead.pop->k(); ++pos) {
-      const PartitionId pid = lead.pop->pid_at(pos);
-      if (!sure_true(lead, pid)) continue;
-      lead.pop->members(pid).ForEach([&](TupleId tid) {
-        if (visited.Get(tid)) return;
-        for (size_t p = 0; p < preds.size(); ++p) {
-          if (p != drive && ClassifyTuple(preds[p], tid) != 1) return;
+      for (size_t pos = 0; pos < pc.pop->k(); ++pos) {
+        if (it->sure[pos] != 0 && !pc.SureTrue(pc.pop->pid_at(pos))) {
+          it->sure[pos] = 0;
         }
-        result.push_back(tid);
-      });
+      }
     }
+    size_t lead = 0;
+    for (size_t c = 0; c < chains.size(); ++c) {
+      ChainRuns& ch = chains[c];
+      for (size_t pos = 0; pos < ch.sure.size(); ++pos) {
+        if (ch.sure[pos] == 0) continue;
+        if (!ch.runs.empty() && ch.runs.back().second == pos) {
+          ++ch.runs.back().second;
+        } else {
+          ch.runs.emplace_back(pos, pos + 1);
+        }
+        ch.tuples += ch.pop->size_at(pos);
+      }
+      if (ch.tuples < chains[lead].tuples) lead = c;
+    }
+    BitVector keep;
+    bool filtered_by_others = false;
+    if (chains[lead].tuples > 0) {
+      for (size_t c = 0; c < chains.size(); ++c) {
+        if (c == lead) continue;
+        BitVector mine(db_->num_rows());
+        for (const auto& [b, e] : chains[c].runs) {
+          for (TupleId tid : chains[c].pop->tuples(b, e)) mine.Set(tid);
+        }
+        if (filtered_by_others) {
+          keep.And(mine);
+        } else {
+          keep = std::move(mine);
+          filtered_by_others = true;
+        }
+      }
+    }
+    const size_t before = result.size();
+    for (const auto& [b, e] : chains[lead].runs) {
+      for (TupleId tid : chains[lead].pop->tuples(b, e)) {
+        if (!visited.Get(tid) && (!filtered_by_others || keep.Get(tid))) {
+          result.push_back(tid);
+        }
+      }
+    }
+    metrics.central_tuples->Add(result.size() - before);
   }
 
   // ---- Step 4 (optional, ablation): finish incomplete NS scans. ----
@@ -378,8 +438,9 @@ std::vector<TupleId> PrkbIndex::RunMd(
       for (int i = 0; i < pc.ns_count; ++i) {
         PredCtx::Ns& ns = pc.ns[i];
         if (ns.known != -1) continue;
+        const std::span<const TupleId> members = pc.TuplesOf(ns.pid);
         if (!policy.batched()) {
-          for (TupleId tid : pc.pop->members(ns.pid).ToVector()) {
+          for (TupleId tid : members) {
             if (!ns.outcome.contains(tid)) EvalForTuple(&pc, db_, tid);
             if (ns.known != -1) break;  // partner inference fired
           }
@@ -387,8 +448,6 @@ std::vector<TupleId> PrkbIndex::RunMd(
         }
         // Chunk-granular early stop: the inference check runs between batch
         // round trips instead of between scalar calls.
-        const std::vector<TupleId> members =
-            pc.pop->members(ns.pid).ToVector();
         for (size_t base = 0;
              base < members.size() && ns.known == -1;
              base += policy.batch_size) {
@@ -422,7 +481,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
       if (ns.t_count == 0 || ns.f_count == 0) {
         // Homogeneous as far as observed. Record the label only on full
         // coverage (an unscanned remainder could still differ).
-        if (ns.outcome.size() == pc.pop->members(ns.pid).Size()) {
+        if (ns.outcome.size() == pc.SizeOf(ns.pid)) {
           pc.LearnLabel(ns.pid, ns.t_count > 0 ? 1 : 0);
         }
         continue;
@@ -442,8 +501,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
       // of hash-map iteration order.
       for (auto& [pid, g] : groups) {
         auto& [t_members, f_members] = g;
-        if (t_members.size() + f_members.size() !=
-                pc.pop->members(pid).Size() ||
+        if (t_members.size() + f_members.size() != pc.SizeOf(pid) ||
             (!t_members.empty() && !f_members.empty())) {
           continue;
         }
@@ -451,8 +509,7 @@ std::vector<TupleId> PrkbIndex::RunMd(
       }
       for (auto& [pid, g] : groups) {
         auto& [t_members, f_members] = g;
-        if (t_members.size() + f_members.size() !=
-            pc.pop->members(pid).Size()) {
+        if (t_members.size() + f_members.size() != pc.SizeOf(pid)) {
           continue;  // incomplete (lazy mode): cannot split safely
         }
         if (t_members.empty() || f_members.empty()) {

@@ -44,6 +44,8 @@ void Pop::InitSingle(const std::vector<TupleId>& tuples) {
   chain_.clear();
   pos_.clear();
   part_of_.clear();
+  order_.clear();
+  start_.assign(1, 0);
   cuts_.clear();
   cut_index_.clear();
   fp_cache_.clear();
@@ -68,6 +70,8 @@ void Pop::InitSingle(const std::vector<TupleId>& tuples) {
     if (tid >= part_of_.size()) part_of_.resize(tid + 1, kNoPartition);
     part_of_[tid] = pid;
   }
+  order_ = slots_[pid].members.ToVector();
+  start_.push_back(static_cast<uint32_t>(order_.size()));
   if (listener_ != nullptr) listener_->OnInit(slots_[pid].members);
 }
 
@@ -82,6 +86,28 @@ void Pop::RebuildPositionsFrom(size_t pos) {
   for (size_t p = pos; p < chain_.size(); ++p) {
     pos_[chain_[p]] = static_cast<uint32_t>(p);
   }
+}
+
+void Pop::RebuildLayout() {
+  order_.clear();
+  order_.reserve(num_tuples_);
+  start_.assign(1, 0);
+  for (PartitionId pid : chain_) {
+    slots_[pid].members.ForEach([this](TupleId tid) { order_.push_back(tid); });
+    start_.push_back(static_cast<uint32_t>(order_.size()));
+  }
+}
+
+void Pop::ReserveLayout(size_t extra) {
+  const size_t need = order_.size() + extra;
+  if (need > order_.capacity()) order_.reserve(need + need / 8);
+}
+
+void Pop::ShiftStartsAfter(size_t pos, int delta) {
+  // Unsigned wrap-around adds a negative delta exactly, and keeps the loop a
+  // plain vectorisable add.
+  const auto d = static_cast<uint32_t>(delta);
+  for (size_t q = pos + 1; q < start_.size(); ++q) start_[q] += d;
 }
 
 uint64_t Pop::SplitPartition(PartitionId pid,
@@ -108,8 +134,17 @@ uint64_t Pop::SplitPartitionSets(PartitionId pid, MemberSet left_members,
   // left neighbour... (the left half is inserted just before `pid`).
   slots_[pid].members = std::move(right_members);
   const PartitionId left_pid = NewPartition(std::move(left_members));
-  slots_[left_pid].members.ForEach(
-      [&](TupleId tid) { part_of_[tid] = left_pid; });
+  // Layout: the old slice is rewritten as the left half then the right
+  // half, each ascending; only this slice and one offset change.
+  TupleId* out = order_.data() + start_[pos];
+  slots_[left_pid].members.ForEach([&](TupleId tid) {
+    part_of_[tid] = left_pid;
+    *out++ = tid;
+  });
+  slots_[pid].members.ForEach([&](TupleId tid) { *out++ = tid; });
+  start_.insert(start_.begin() + static_cast<ptrdiff_t>(pos) + 1,
+                start_[pos] +
+                    static_cast<uint32_t>(slots_[left_pid].members.Size()));
 
   chain_.insert(chain_.begin() + static_cast<ptrdiff_t>(pos), left_pid);
   RebuildPositionsFrom(pos);
@@ -142,7 +177,7 @@ void Pop::LinkBetweenCuts(uint64_t low_cut, uint64_t high_cut) {
   if (listener_ != nullptr) listener_->OnLinkBetween(low_cut, high_cut);
 }
 
-void Pop::AddTuple(PartitionId pid, TupleId tid) {
+void Pop::AddMember(PartitionId pid, TupleId tid) {
   assert(pid < slots_.size() && slots_[pid].live);
   // Placing a buffered tuple drains it from the buffer. WAL replay relies on
   // this: a flush logs plain kAdd records, and replaying them leaves exactly
@@ -153,7 +188,55 @@ void Pop::AddTuple(PartitionId pid, TupleId tid) {
   slots_[pid].members.Add(tid);
   part_of_[tid] = pid;
   ++num_tuples_;
-  if (listener_ != nullptr) listener_->OnAdd(pos_[pid], tid);
+}
+
+void Pop::AddTuple(PartitionId pid, TupleId tid) {
+  AddMember(pid, tid);
+  ReserveLayout(1);
+  const size_t pos = pos_[pid];
+  const auto end = order_.begin() + start_[pos + 1];
+  order_.insert(std::lower_bound(order_.begin() + start_[pos], end, tid), tid);
+  ShiftStartsAfter(pos, +1);
+  if (listener_ != nullptr) listener_->OnAdd(pos, tid);
+}
+
+void Pop::AddTuples(
+    const std::vector<std::pair<PartitionId, TupleId>>& placements) {
+  if (placements.empty()) return;
+  std::vector<std::pair<uint32_t, TupleId>> adds;  // (position, tuple)
+  adds.reserve(placements.size());
+  for (const auto& [pid, tid] : placements) {
+    AddMember(pid, tid);
+    adds.emplace_back(pos_[pid], tid);
+  }
+  std::sort(adds.begin(), adds.end());
+  // One backward merge pass: walking the chain from the tail, each
+  // partition's old slice and its sorted additions merge into their final
+  // place. Everything left of the first position that gained a tuple is
+  // already in place, so the pass stops there.
+  size_t j = adds.size();
+  size_t w = order_.size() + adds.size();
+  ReserveLayout(adds.size());
+  order_.resize(w);
+  for (size_t p = chain_.size(); j > 0;) {
+    --p;
+    size_t r = start_[p + 1];
+    start_[p + 1] = static_cast<uint32_t>(w);
+    const size_t rb = start_[p];
+    while (j > 0 && adds[j - 1].first == p) {
+      if (r > rb && order_[r - 1] > adds[j - 1].second) {
+        order_[--w] = order_[--r];
+      } else {
+        order_[--w] = adds[--j].second;
+      }
+    }
+    w -= r - rb;
+    std::move_backward(order_.begin() + rb, order_.begin() + r,
+                       order_.begin() + w + (r - rb));
+  }
+  if (listener_ != nullptr) {
+    for (const auto& [pid, tid] : placements) listener_->OnAdd(pos_[pid], tid);
+  }
 }
 
 void Pop::DropCut(size_t cut_idx) {
@@ -192,15 +275,19 @@ void Pop::RemoveTuple(TupleId tid) {
   (void)removed;
   part_of_[tid] = kNoPartition;
   --num_tuples_;
+  const size_t pos = pos_[pid];
+  const auto end = order_.begin() + start_[pos + 1];
+  order_.erase(std::lower_bound(order_.begin() + start_[pos], end, tid));
+  ShiftStartsAfter(pos, -1);
   if (listener_ != nullptr) listener_->OnRemove(tid);
 
   if (!members.Empty()) return;
 
   // The partition emptied: remove it from the chain (POPᶜₖ becomes
   // POPᶜₖ₋₁, Sec. 7.2) and repair cut anchors.
-  const size_t pos = pos_[pid];
   slots_[pid].live = false;
   chain_.erase(chain_.begin() + static_cast<ptrdiff_t>(pos));
+  start_.erase(start_.begin() + static_cast<ptrdiff_t>(pos) + 1);
   RebuildPositionsFrom(pos);
 
   if (const uint32_t i = slots_[pid].right_cut; i != kNoCutIdx) {
@@ -250,6 +337,11 @@ PartitionId Pop::MergeAt(size_t pos) {
   slots_[right].live = false;
   chain_.erase(chain_.begin() + static_cast<ptrdiff_t>(pos) + 1);
   RebuildPositionsFrom(pos);
+  // Layout: the two adjacent ascending slices merge in place.
+  std::inplace_merge(order_.begin() + start_[pos],
+                     order_.begin() + start_[pos + 1],
+                     order_.begin() + start_[pos + 2]);
+  start_.erase(start_.begin() + static_cast<ptrdiff_t>(pos) + 1);
 
   // Cuts anchored at `left` used to separate left|right; their separating
   // point is now strictly inside the merged partition, so they must not
@@ -321,14 +413,8 @@ std::vector<TupleId> Pop::AssembleFastPath(const FastPathEntry& e) const {
     begin = std::min(a, b);
     end = std::max(a, b);
   }
-  size_t n = 0;
-  for (size_t p = begin; p < end; ++p) n += slots_[chain_[p]].members.Size();
-  std::vector<TupleId> out;
-  out.reserve(n);
-  for (size_t p = begin; p < end; ++p) {
-    slots_[chain_[p]].members.AppendTo(&out);
-  }
-  return out;
+  const std::span<const TupleId> run = tuples(begin, end);
+  return std::vector<TupleId>(run.begin(), run.end());
 }
 
 size_t Pop::MembershipBytes() const {
@@ -382,6 +468,22 @@ Status Pop::Validate() const {
   }
   if (covered != num_tuples_) {
     return Status::Corruption("num_tuples_ out of sync");
+  }
+  // The layout is exactly the memberships, concatenated in chain order.
+  if (start_.size() != chain_.size() + 1 || start_[0] != 0 ||
+      start_.back() != order_.size() || order_.size() != num_tuples_) {
+    return Status::Corruption("layout offsets out of sync");
+  }
+  for (size_t p = 0; p < chain_.size(); ++p) {
+    if (start_[p] > start_[p + 1] ||
+        size_at(p) != slots_[chain_[p]].members.Size()) {
+      return Status::Corruption("layout offsets out of sync");
+    }
+    const TupleId* at = order_.data() + start_[p];
+    bool in_sync = true;
+    slots_[chain_[p]].members.ForEach(
+        [&](TupleId tid) { in_sync = in_sync && *at++ == tid; });
+    if (!in_sync) return Status::Corruption("layout out of sync");
   }
   for (size_t i = 0; i < cuts_.size(); ++i) {
     const Cut& cut = cuts_[i];

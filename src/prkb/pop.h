@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/serial.h"
@@ -64,9 +66,13 @@ class PopListener {
 /// that created it (a "cut"). Cuts power insertion handling (Sec. 7.1): an
 /// O(lg k) binary search re-evaluates old trapdoors on the new tuple.
 ///
-/// Membership is stored compressed (MemberSet); all iteration is in
-/// ascending tuple-id order, so winner assembly and serialisation are
-/// deterministic functions of the chain state.
+/// Membership is stored compressed (MemberSet): that is the state of record
+/// for snapshots, the WAL and the footprint. Beside it the chain keeps a
+/// derived *chain-ordered layout* (DESIGN.md §13): every covered tuple in one
+/// flat array, partition by partition in chain order and ascending within
+/// each partition, so any run of partitions — a sure answer — is one
+/// contiguous slice. All selection-path reads go through tuples()/size_at();
+/// both orders are deterministic functions of the chain state.
 class Pop {
  public:
   static constexpr PartitionId kNoPartition =
@@ -124,6 +130,16 @@ class Pop {
   const MemberSet& members_at(size_t pos) const {
     return members(chain_[pos]);
   }
+  /// The tuples of the partitions at chain positions [begin_pos, end_pos):
+  /// one contiguous slice of the layout, partition by partition in chain
+  /// order, ascending within each. Valid until the next chain mutation.
+  std::span<const edbms::TupleId> tuples(size_t begin_pos,
+                                         size_t end_pos) const {
+    return std::span<const edbms::TupleId>(order_).subspan(
+        start_[begin_pos], start_[end_pos] - start_[begin_pos]);
+  }
+  /// Number of tuples in the partition at chain position `pos`.
+  size_t size_at(size_t pos) const { return start_[pos + 1] - start_[pos]; }
   /// Partition currently holding `tid`, or kNoPartition.
   PartitionId partition_of(edbms::TupleId tid) const {
     return tid < part_of_.size() ? part_of_[tid] : kNoPartition;
@@ -154,6 +170,11 @@ class Pop {
   /// buffer first — this single rule makes live flushes and WAL replay agree
   /// on the buffer state without a dedicated per-tuple flush record.
   void AddTuple(PartitionId pid, edbms::TupleId tid);
+  /// AddTuple for every (partition, tuple) pair, in order — the same
+  /// memberships and listener records — but the layout is rebuilt once for
+  /// the whole batch (one merge pass, O(n + k)) instead of once per tuple.
+  void AddTuples(
+      const std::vector<std::pair<PartitionId, edbms::TupleId>>& placements);
 
   /// Deletion handling (Sec. 7.2): drops the tuple; an emptied partition is
   /// removed from the chain and redundant cuts are retired. A tuple that is
@@ -246,7 +267,7 @@ class Pop {
   /// Total MemberSet containers across the chain (memberset.containers).
   size_t MembershipContainers() const;
 
-  /// Structural invariant check (chain/pos/membership consistency).
+  /// Structural invariant check (chain/pos/membership/layout consistency).
   Status Validate() const;
 
   /// Serialises the chain and its cuts (prkb_io.cc). Deterministic: members
@@ -277,6 +298,16 @@ class Pop {
 
   PartitionId NewPartition(MemberSet members);
   void RebuildPositionsFrom(size_t pos);
+  /// Membership bookkeeping of AddTuple, without touching the layout.
+  void AddMember(PartitionId pid, edbms::TupleId tid);
+  /// Rebuilds order_/start_ from the memberships (decode).
+  void RebuildLayout();
+  /// Adds `delta` to every layout offset right of chain position `pos`.
+  void ShiftStartsAfter(size_t pos, int delta);
+  /// Makes room for `extra` more layout entries, growing by an eighth
+  /// rather than doubling: the layout is process memory the footprint
+  /// metrics leave out, so its slack is kept small.
+  void ReserveLayout(size_t extra);
   void DropCut(size_t cut_idx);
   /// Moves live cut `cut_idx` onto the boundary right of `dest`, which must
   /// hold no live cut.
@@ -286,6 +317,12 @@ class Pop {
   std::vector<PartitionId> chain_;      // pos -> pid
   std::vector<uint32_t> pos_;           // pid -> pos
   std::vector<PartitionId> part_of_;    // tid -> pid
+  // Chain-ordered layout (derived, like pos_ and part_of_: not serialised,
+  // not in SizeBytes). order_ holds every covered tuple, partition by
+  // partition in chain order, ascending within each; the partition at
+  // position p owns order_[start_[p], start_[p+1]). start_ has k+1 entries.
+  std::vector<edbms::TupleId> order_;
+  std::vector<uint32_t> start_ = {0};
   std::vector<Cut> cuts_;
   std::unordered_map<uint64_t, size_t> cut_index_;  // cut id -> index
   std::unordered_map<TrapdoorFp, FastPathEntry, TrapdoorFpHash> fp_cache_;

@@ -84,6 +84,8 @@ Status Pop::DecodeFrom(Decoder* dec) {
   chain_.clear();
   pos_.clear();
   part_of_.clear();
+  order_.clear();
+  start_.assign(1, 0);
   cuts_.clear();
   cut_index_.clear();
   fp_cache_.clear();
@@ -114,6 +116,7 @@ Status Pop::DecodeFrom(Decoder* dec) {
     chain_.push_back(pid);
   }
   RebuildPositionsFrom(0);
+  RebuildLayout();
 
   uint64_t ncuts;
   PRKB_RETURN_IF_ERROR(dec->GetVarint(&ncuts));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <span>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -235,12 +236,12 @@ class QFilterEngine {
 
   void EnqueueSpec(ProbeRound* round, int source, size_t pos) {
     if (!opts_->speculative || prepaid_ == nullptr) return;
-    const MemberSet& members = pop_->members_at(pos);
-    const size_t n = std::min(opts_->spec_chunk, members.Size());
+    const std::span<const edbms::TupleId> members = pop_->tuples(pos, pos + 1);
+    const size_t n = std::min(opts_->spec_chunk, members.size());
     for (size_t i = 0; i < n; ++i) {
-      // Select(i) walks the compressed prefix: the speculative chunk covers
-      // the same member-order prefix ScanPartitionExact consumes.
-      const edbms::TupleId tid = members.Select(i);
+      // The speculative chunk covers the same ascending prefix of the
+      // partition's slice that ScanPartitionExact consumes.
+      const edbms::TupleId tid = members[i];
       spec_.push_back(SpecLane{pos, tid, round->Add(*td_, tid, source)});
     }
     ProbeSchedMetrics::Get().speculative->Add(n);

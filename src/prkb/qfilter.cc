@@ -1,14 +1,15 @@
 #include "prkb/qfilter.h"
 
 #include <cassert>
+#include <span>
 
 namespace prkb::core {
 
 edbms::TupleId SamplePartition(const Pop& pop, size_t pos, Rng* rng) {
-  const MemberSet& members = pop.members_at(pos);
-  assert(!members.Empty());
-  // Rank-select on the compressed set: no materialisation per probe.
-  return members.Select(rng->UniformInt(0, members.Size() - 1));
+  const std::span<const edbms::TupleId> members = pop.tuples(pos, pos + 1);
+  assert(!members.empty());
+  // The slice is ascending, so index i is the rank-i member.
+  return members[rng->UniformInt(0, members.size() - 1)];
 }
 
 }  // namespace prkb::core

@@ -39,9 +39,9 @@ void ScanPartitionExact(const Pop& pop, size_t pos, const edbms::Trapdoor& td,
                         std::vector<edbms::TupleId>* true_out,
                         std::vector<edbms::TupleId>* false_out,
                         PrepaidScan* prepaid) {
-  // Materialised once per scanned partition: QScan pays O(n/k) QPF calls on
-  // these tuples anyway, so the decompression is noise next to the oracle.
-  const std::vector<edbms::TupleId> members = pop.members_at(pos).ToVector();
+  // The partition's slice of the chain layout, ascending. Nothing mutates
+  // the chain until the scan is done.
+  const std::span<const edbms::TupleId> members = pop.tuples(pos, pos + 1);
   const QScanMetrics& metrics = QScanMetrics::Get();
   metrics.partitions_scanned->Add(1);
   metrics.tuples_scanned->Add(members.size());
@@ -59,8 +59,7 @@ void ScanPartitionExact(const Pop& pop, size_t pos, const edbms::Trapdoor& td,
       }
     }
   }
-  const std::span<const edbms::TupleId> rest =
-      std::span<const edbms::TupleId>(members).subspan(start);
+  const std::span<const edbms::TupleId> rest = members.subspan(start);
   if (rest.empty()) return;
   if (!policy.batched() && !policy.parallel()) {
     for (edbms::TupleId tid : rest) {
@@ -103,7 +102,9 @@ QScanResult QScan(const Pop& pop, const QFilterResult& filter,
     out.split_true = std::move(a_true);
     out.split_false = std::move(a_false);
     if (filter.ns_b != filter.ns_a && filter.label_last) {
-      pop.members_at(filter.ns_b).AppendTo(&out.winners);
+      const std::span<const edbms::TupleId> partner =
+          pop.tuples(filter.ns_b, filter.ns_b + 1);
+      out.winners.insert(out.winners.end(), partner.begin(), partner.end());
     }
     return out;
   }

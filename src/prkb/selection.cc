@@ -140,9 +140,9 @@ PrkbIndex::ChainStats PrkbIndex::StatsFor(edbms::AttrId attr) const {
   st.tuples = pop.num_tuples();
   st.bytes = pop.SizeBytes();
   if (pop.k() > 0) {
-    st.min_partition = pop.members_at(0).Size();
+    st.min_partition = pop.size_at(0);
     for (size_t p = 0; p < pop.k(); ++p) {
-      const size_t sz = pop.members_at(p).Size();
+      const size_t sz = pop.size_at(p);
       st.min_partition = std::min(st.min_partition, sz);
       st.max_partition = std::max(st.max_partition, sz);
     }

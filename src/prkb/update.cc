@@ -366,13 +366,18 @@ void PrkbIndex::BatchPlace(edbms::AttrId attr,
     pop.InitSingle(std::vector<TupleId>{tids[0]});
     start = 1;
   }
+  // Placements apply through Pop::AddTuples: the same records as AddTuple
+  // per tuple, with one layout rebuild per batch instead of one per tuple.
+  std::vector<std::pair<PartitionId, TupleId>> placed;
+  placed.reserve(tids.size());
   if (pop.k() == 1) {
     // No cuts to search: every tuple lands in the sole partition, exactly
     // as the eager sequence would have placed it.
     for (size_t i = start; i < tids.size(); ++i) {
-      UpdateMetrics::Get().placements->Add(1);
-      pop.AddTuple(pop.pid_at(0), tids[i]);
+      placed.emplace_back(pop.pid_at(0), tids[i]);
     }
+    UpdateMetrics::Get().placements->Add(placed.size());
+    pop.AddTuples(placed);
     return;
   }
 
@@ -384,17 +389,18 @@ void PrkbIndex::BatchPlace(edbms::AttrId attr,
   RunSearches(pop, db_, std::max<size_t>(options_.probe_fanout, 2),
               options_.fast_path, &searches);
 
-  // Resolved tuples land first, in append order. AddTuple never moves cuts
-  // or positions, so every resolved position stays valid throughout.
+  // Resolved tuples land first, in append order. Adding tuples never moves
+  // cuts or positions, so every resolved position stays valid throughout.
   std::vector<TupleId> unresolved;
   for (const Search& s : searches) {
     if (Total(s.cand) == 1) {
-      UpdateMetrics::Get().placements->Add(1);
-      pop.AddTuple(pop.pid_at(s.cand[0].b), s.tid);
+      placed.emplace_back(pop.pid_at(s.cand[0].b), s.tid);
     } else {
       unresolved.push_back(s.tid);
     }
   }
+  UpdateMetrics::Get().placements->Add(placed.size());
+  pop.AddTuples(placed);
   // The rare coarsen cases (sibling-less BETWEEN cuts guarding the boundary)
   // re-run the scalar placement, which merges the blocked span against the
   // *current* chain — simpler and safer than patching candidate positions

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -252,6 +253,7 @@ Status PrkbWal::Recover() {
 
   size_t off = sizeof(kLogMagic);
   size_t good_end = off;
+  PendingAdds adds;
   while (off + 8 <= buf.size()) {
     uint32_t len = 0;
     uint32_t crc = 0;
@@ -262,12 +264,13 @@ Status PrkbWal::Recover() {
     if (off + 8 + len > buf.size()) break;               // torn tail
     const uint8_t* payload = buf.data() + off + 8;
     if (Crc32(payload, len) != crc) break;               // bit rot: sever
-    PRKB_RETURN_IF_ERROR(ApplyRecord(payload, len));
+    PRKB_RETURN_IF_ERROR(ApplyRecord(payload, len, &adds));
     ++stats_.replayed_records;
     WalMetrics::Get().replayed->Add(1);
     off += 8 + len;
     good_end = off;
   }
+  PRKB_RETURN_IF_ERROR(ApplyPendingAdds(&adds));
   if (good_end < buf.size()) {
     std::filesystem::resize_file(LogPath(), good_end, ec);
     if (ec) return Status::IoError("cannot truncate " + LogPath());
@@ -276,12 +279,32 @@ Status PrkbWal::Recover() {
   return Status::Ok();
 }
 
-Status PrkbWal::ApplyRecord(const uint8_t* payload, size_t size) {
+Status PrkbWal::ApplyPendingAdds(PendingAdds* adds) {
+  if (adds->placements.empty()) return Status::Ok();
+  // Each queued tuple was checked uncovered when it queued; a tuple queued
+  // twice would pass that check both times.
+  std::vector<edbms::TupleId> tids;
+  tids.reserve(adds->placements.size());
+  for (const auto& [pid, tid] : adds->placements) tids.push_back(tid);
+  std::sort(tids.begin(), tids.end());
+  if (std::adjacent_find(tids.begin(), tids.end()) != tids.end()) {
+    return Status::Corruption("add of covered tuple");
+  }
+  index_->pop(adds->attr).AddTuples(adds->placements);
+  adds->placements.clear();
+  return Status::Ok();
+}
+
+Status PrkbWal::ApplyRecord(const uint8_t* payload, size_t size,
+                            PendingAdds* adds) {
   Decoder dec(payload, size);
   uint8_t type = 0;
   uint32_t attr = 0;
   PRKB_RETURN_IF_ERROR(dec.GetU8(&type));
   PRKB_RETURN_IF_ERROR(dec.GetU32(&attr));
+  if (type != kAdd || attr != adds->attr) {
+    PRKB_RETURN_IF_ERROR(ApplyPendingAdds(adds));
+  }
 
   if (type == kInit) {
     MemberSet ms;
@@ -345,7 +368,14 @@ Status PrkbWal::ApplyRecord(const uint8_t* payload, size_t size) {
       PRKB_RETURN_IF_ERROR(dec.GetVarint(&tid));
       if (!dec.Done()) return Status::Corruption("trailing bytes in add");
       if (pos >= pop.k()) return Status::Corruption("add position range");
-      pop.AddTuple(pop.pid_at(pos), static_cast<edbms::TupleId>(tid));
+      const auto t = static_cast<edbms::TupleId>(tid);
+      if (pop.partition_of(t) != Pop::kNoPartition) {
+        return Status::Corruption("add of covered tuple");
+      }
+      // Queued adds move no position, so `pos` names the same partition
+      // when the batch applies.
+      adds->attr = attr;
+      adds->placements.emplace_back(pop.pid_at(pos), t);
       return Status::Ok();
     }
     case kRemove: {

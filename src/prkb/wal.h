@@ -8,6 +8,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -122,9 +123,21 @@ class PrkbWal {
   std::string LogPath() const;
 
   Status OpenFiles();
+  /// Placement records not yet applied: consecutive add records of one
+  /// chain (a buffer flush logs one per tuple) replay as one Pop::AddTuples
+  /// batch — one layout merge pass instead of a memmove per tuple.
+  struct PendingAdds {
+    edbms::AttrId attr = 0;
+    std::vector<std::pair<PartitionId, edbms::TupleId>> placements;
+  };
+
   /// Loads snapshot + log into the index; truncates a torn/corrupt tail.
   Status Recover();
-  Status ApplyRecord(const uint8_t* payload, size_t size);
+  /// Applies one record. Add records queue in `adds`; any other record
+  /// applies the queue first.
+  Status ApplyRecord(const uint8_t* payload, size_t size, PendingAdds* adds);
+  /// Applies and empties the queue; Corruption if it adds a tuple twice.
+  Status ApplyPendingAdds(PendingAdds* adds);
   /// Appends one framed record to the in-memory batch (caller encoded the
   /// payload). Thread-safe.
   void Append(const std::vector<uint8_t>& payload);

@@ -112,7 +112,7 @@ TEST(QScanEdgeTest, EarlyStopIncludesWholePartnerWhenTrue) {
   // Determine which chain end holds the small values to build a predicate
   // whose separating point is inside the small-values partition.
   const bool small_first =
-      plain.at(0, pop.members_at(0).Select(0)) < plain.at(0, pop.members_at(1).Select(0));
+      plain.at(0, pop.tuples(0, 1)[0]) < plain.at(0, pop.tuples(1, 2)[0]);
   const auto td = db.MakeComparison(0, CompareOp::kGt, 15);  // {20,30,40}
   Rng rng(3);
   const auto f = QFilter(pop, td, &db, &rng, kBinarySearchSched);

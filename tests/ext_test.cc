@@ -105,8 +105,8 @@ std::vector<TupleId> OracleSkyline(const PlainTable& plain) {
 /// Determines chain orientation from ground truth (stands in for the DO).
 bool MinAtFront(const core::Pop& pop, const std::vector<Value>& column) {
   if (pop.k() < 2) return true;
-  Value front_min = column[pop.members_at(0).Select(0)];
-  Value back_min = column[pop.members_at(pop.k() - 1).Select(0)];
+  Value front_min = column[pop.tuples(0, 1)[0]];
+  Value back_min = column[pop.tuples(pop.k() - 1, pop.k())[0]];
   return front_min < back_min;
 }
 

@@ -33,19 +33,12 @@ void ExpectMatches(const MemberSet& ms, const std::set<TupleId>& oracle) {
   ASSERT_EQ(ms.Size(), oracle.size());
   EXPECT_EQ(ms.Empty(), oracle.empty());
   EXPECT_EQ(ms.ToVector(), ToVec(oracle));
-  // Iteration is ascending (winner assembly and the on-disk encodings are
+  // Iteration is ascending (the chain layout and the on-disk encodings are
   // deterministic functions of the set).
   std::vector<TupleId> seen;
   ms.ForEach([&seen](TupleId tid) { seen.push_back(tid); });
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
   EXPECT_EQ(seen, ToVec(oracle));
-  // Rank-select agrees with sorted order.
-  if (!oracle.empty()) {
-    EXPECT_EQ(ms.Select(0), *oracle.begin());
-    EXPECT_EQ(ms.Select(oracle.size() - 1), *oracle.rbegin());
-    size_t mid = oracle.size() / 2;
-    EXPECT_EQ(ms.Select(mid), ToVec(oracle)[mid]);
-  }
 }
 
 /// Value shapes that force each container kind and its transitions:

@@ -1,8 +1,18 @@
 #include "prkb/pop.h"
 
+#include <algorithm>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/serial.h"
+#include "edbms/cipherbase_qpf.h"
 #include "gtest/gtest.h"
+#include "prkb/selection.h"
+#include "prkb/wal.h"
 
 namespace prkb::core {
 namespace {
@@ -232,6 +242,181 @@ TEST(PopTest, ValidateAgainstPlainRejectsOverlappingRanges) {
   pop.InitSingle(3);
   pop.SplitPartition(pop.pid_at(0), {0, 1}, {2}, FakeTrapdoor(1), true);
   EXPECT_FALSE(pop.ValidateAgainstPlain(plain).ok());
+}
+
+// ------------------------------------------ chain-ordered layout differential
+
+std::vector<uint8_t> Encoded(const Pop& pop) {
+  Encoder enc;
+  pop.EncodeTo(&enc);
+  return enc.Release();
+}
+
+/// The layout must be exactly the memberships concatenated in chain order:
+/// over the whole chain and over a random run of partitions.
+void ExpectLayoutMatchesMembers(const Pop& pop, Rng* rng) {
+  ASSERT_TRUE(pop.Validate().ok()) << pop.Validate().ToString();
+  std::vector<TupleId> all;
+  for (size_t p = 0; p < pop.k(); ++p) {
+    const std::vector<TupleId> m = pop.members_at(p).ToVector();
+    ASSERT_EQ(pop.size_at(p), m.size());
+    all.insert(all.end(), m.begin(), m.end());
+  }
+  const auto whole = pop.tuples(0, pop.k());
+  ASSERT_EQ(std::vector<TupleId>(whole.begin(), whole.end()), all);
+  if (pop.k() == 0) return;
+  const size_t b = rng->UniformInt(0, pop.k() - 1);
+  const size_t e = rng->UniformInt(b, pop.k());
+  std::vector<TupleId> want;
+  for (size_t p = b; p < e; ++p) {
+    const std::vector<TupleId> m = pop.members_at(p).ToVector();
+    want.insert(want.end(), m.begin(), m.end());
+  }
+  const auto run = pop.tuples(b, e);
+  EXPECT_EQ(std::vector<TupleId>(run.begin(), run.end()), want);
+}
+
+TEST(PopTest, RandomMutationsKeepLayoutExactThroughCodecAndWalReplay) {
+  // Interleaves every chain mutation — splits (comparison and linked
+  // BETWEEN pairs), single and batched adds, removes of chained and
+  // buffered tuples, merges, re-inits, snapshot round trips — on a chain
+  // logged by a real WAL. After each step the layout must equal the
+  // memberships; every 16 steps a replica recovered from a copy of the WAL
+  // directory must encode to the same bytes and hold the same layout.
+  namespace fs = std::filesystem;
+  constexpr TupleId kUniverse = 300;
+  edbms::PlainTable plain(1);
+  for (TupleId t = 0; t < kUniverse; ++t) {
+    plain.AddRow({static_cast<edbms::Value>(t)});
+  }
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    auto db = edbms::CipherbaseEdbms::FromPlainTable(seed, plain);
+    PrkbIndex index(&db);
+    index.EnableAttr(0);
+    const std::string dir = ::testing::TempDir() + "/pop_layout_wal_" +
+                            std::to_string(seed);
+    const std::string copy = dir + "_replica";
+    fs::remove_all(dir);
+    auto wal = PrkbWal::Open(&index, dir);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    Rng rng(seed * 977);
+    uint64_t uid = 1;
+    const auto uncovered = [&](Pop& pop) {
+      std::vector<TupleId> out;
+      for (TupleId t = 0; t < kUniverse; ++t) {
+        if (pop.partition_of(t) == Pop::kNoPartition &&
+            !pop.insert_buffer().Contains(t)) {
+          out.push_back(t);
+        }
+      }
+      return out;
+    };
+    const auto split = [&](Pop& pop, edbms::PredicateKind kind) -> uint64_t {
+      std::vector<size_t> splittable;
+      for (size_t p = 0; p < pop.k(); ++p) {
+        if (pop.size_at(p) >= 2) splittable.push_back(p);
+      }
+      if (splittable.empty()) return Pop::kNoCut;
+      const size_t pos = splittable[rng.UniformInt(0, splittable.size() - 1)];
+      std::vector<TupleId> members = pop.members_at(pos).ToVector();
+      rng.Shuffle(&members);
+      const size_t cut = rng.UniformInt(1, members.size() - 1);
+      return pop.SplitPartition(
+          pop.pid_at(pos),
+          std::vector<TupleId>(members.begin(), members.begin() + cut),
+          std::vector<TupleId>(members.begin() + cut, members.end()),
+          FakeTrapdoor(uid++, kind), rng.UniformInt(0, 1) == 1);
+    };
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(::testing::Message() << "step " << step);
+      Pop& pop = index.pop(0);
+      const int op = static_cast<int>(rng.UniformInt(0, 99));
+      const std::vector<TupleId> free = uncovered(pop);
+      if (op < 30) {
+        split(pop, edbms::PredicateKind::kComparison);
+      } else if (op < 35) {
+        const uint64_t lo = split(pop, edbms::PredicateKind::kBetween);
+        const uint64_t hi = split(pop, edbms::PredicateKind::kBetween);
+        if (lo != Pop::kNoCut && hi != Pop::kNoCut && pop.FindCut(lo) &&
+            pop.FindCut(hi)) {
+          pop.LinkBetweenCuts(lo, hi);
+        }
+      } else if (op < 48) {
+        if (!free.empty() && pop.k() > 0) {
+          const TupleId tid = free[rng.UniformInt(0, free.size() - 1)];
+          pop.AddTuple(pop.pid_at(rng.UniformInt(0, pop.k() - 1)), tid);
+        }
+      } else if (op < 63) {
+        if (pop.num_tuples() + pop.insert_buffer().Size() > 1) {
+          std::vector<TupleId> present;
+          for (TupleId t = 0; t < kUniverse; ++t) {
+            if (pop.partition_of(t) != Pop::kNoPartition ||
+                pop.insert_buffer().Contains(t)) {
+              present.push_back(t);
+            }
+          }
+          pop.RemoveTuple(present[rng.UniformInt(0, present.size() - 1)]);
+        }
+      } else if (op < 71) {
+        if (pop.k() >= 2) pop.MergeAt(rng.UniformInt(0, pop.k() - 2));
+      } else if (op < 78) {
+        if (!free.empty()) {
+          pop.BufferAppend(free[rng.UniformInt(0, free.size() - 1)]);
+        }
+      } else if (op < 90) {
+        // Batch placement, as a buffer flush does it: every buffered tuple
+        // plus a few fresh ones, each into a random partition.
+        if (pop.k() > 0) {
+          std::vector<std::pair<PartitionId, TupleId>> batch;
+          const std::vector<TupleId> buffered = pop.insert_buffer().order();
+          for (TupleId t : buffered) {
+            batch.emplace_back(pop.pid_at(rng.UniformInt(0, pop.k() - 1)), t);
+          }
+          const size_t fresh =
+              std::min<size_t>(free.size(), rng.UniformInt(0, 12));
+          for (size_t i = 0; i < fresh; ++i) {
+            batch.emplace_back(pop.pid_at(rng.UniformInt(0, pop.k() - 1)),
+                               free[i]);
+          }
+          pop.AddTuples(batch);
+          if (!buffered.empty()) pop.NoteBufferFlushed(buffered.size());
+        }
+      } else if (op < 93) {
+        std::vector<TupleId> some;
+        for (TupleId t = 0; t < kUniverse; ++t) {
+          if (rng.UniformInt(0, 2) != 0) some.push_back(t);
+        }
+        pop.InitSingle(some);
+      } else {
+        Pop decoded;
+        const std::vector<uint8_t> bytes = Encoded(pop);
+        Decoder dec(bytes.data(), bytes.size());
+        ASSERT_TRUE(decoded.DecodeFrom(&dec).ok());
+        ExpectLayoutMatchesMembers(decoded, &rng);
+        EXPECT_EQ(Encoded(decoded), bytes);
+        index.InstallPop(0, std::move(decoded));
+      }
+      ASSERT_TRUE((*wal)->Commit().ok());
+      ExpectLayoutMatchesMembers(index.pop(0), &rng);
+      if (step % 16 == 15) {
+        fs::remove_all(copy);
+        fs::copy(dir, copy, fs::copy_options::recursive);
+        PrkbIndex replica(&db);
+        auto rwal = PrkbWal::Open(&replica, copy);
+        ASSERT_TRUE(rwal.ok()) << rwal.status().ToString();
+        ASSERT_TRUE(replica.IsEnabled(0));
+        ExpectLayoutMatchesMembers(replica.pop(0), &rng);
+        EXPECT_EQ(Encoded(replica.pop(0)), Encoded(index.pop(0)));
+        const auto a = replica.pop(0).tuples(0, replica.pop(0).k());
+        const auto b = index.pop(0).tuples(0, index.pop(0).k());
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+      }
+    }
+    wal->reset();
+    fs::remove_all(dir);
+    fs::remove_all(copy);
+  }
 }
 
 }  // namespace

@@ -241,6 +241,56 @@ TEST_F(WalTest, CrcCorruptionSeversNotCrashes) {
   }
 }
 
+TEST_F(WalTest, AddRecordOfACoveredTupleFailsTheOpen) {
+  // A framed, CRC-valid add record that places a tuple already on the chain
+  // cannot come from a live run (AddTuple requires an uncovered tuple). Such
+  // a log is corrupt and must fail the open rather than corrupt the chain —
+  // also when both adds sit in one run of add records, which replay applies
+  // as a single batch.
+  const std::string dir = FreshDir("wal_dup_add");
+  WalOptions opts;
+  opts.fsync_on_commit = false;
+  opts.compact_threshold_bytes = 0;
+  {
+    PrkbIndex live(db_.get());
+    auto wal = PrkbWal::Open(&live, dir, opts);
+    ASSERT_TRUE(wal.ok());
+    live.EnableAttr(0);
+    live.Select(db_->MakeComparison(0, CompareOp::kLt, 500));
+  }
+  const auto log = ReadFile(dir + "/wal.log");
+  const auto add_frame = [](uint64_t pos, uint64_t tid) {
+    Encoder payload;
+    payload.PutU8(4);   // record type: add (docs/PERSISTENCE.md §3)
+    payload.PutU32(0);  // attribute
+    payload.PutVarint(pos);
+    payload.PutVarint(tid);
+    const std::vector<uint8_t> body = payload.Release();
+    Encoder frame;
+    frame.PutU32(static_cast<uint32_t>(body.size()));
+    frame.PutU32(Crc32(body.data(), body.size()));
+    std::vector<uint8_t> out = frame.Release();
+    out.insert(out.end(), body.begin(), body.end());
+    return out;
+  };
+  const std::vector<std::vector<std::vector<uint8_t>>> cases = {
+      {add_frame(0, 3)},                         // tuple 3 is on the chain
+      {add_frame(0, 5000), add_frame(1, 5000)},  // a fresh tuple, twice
+  };
+  for (const auto& frames : cases) {
+    auto bad = log;
+    for (const auto& f : frames) bad.insert(bad.end(), f.begin(), f.end());
+    const std::string rdir = FreshDir("wal_dup_add_replay");
+    CloneWalDir(dir, rdir, 0);
+    WriteFile(rdir + "/wal.log", bad);
+    PrkbIndex recovered(db_.get());
+    auto rwal = PrkbWal::Open(&recovered, rdir, opts);
+    ASSERT_FALSE(rwal.ok());
+    EXPECT_EQ(rwal.status().code(), Status::Code::kCorruption)
+        << rwal.status().ToString();
+  }
+}
+
 TEST_F(WalTest, CompactionPreservesStateAndTruncatesLog) {
   const std::string dir = FreshDir("wal_compact");
   WalOptions opts;
