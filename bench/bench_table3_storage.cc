@@ -46,9 +46,10 @@ int Main(int argc, char** argv) {
       if (q == 250) prkb250 = static_cast<double>(index.SizeBytes()) / 1e6;
     }
     const double prkb600 = static_cast<double>(index.SizeBytes()) / 1e6;
-    // Membership footprint side by side: what the partitions' tuple-id sets
-    // would cost as raw vector<TupleId> vs the compressed MemberSets actually
-    // held (MemberSetTest.ClusteredChainBeatsRawFiveFoldWithOracleWinners
+    // Membership footprint side by side: the raw 4-byte tuple ids the chain
+    // layout holds vs the same partitions packed into compressed MemberSets,
+    // the form SizeBytes counts
+    // (MemberSetTest.ClusteredChainBeatsRawFiveFoldWithOracleWinners
     // contrasts clustered and uniform data shapes).
     const double memb_raw_mb =
         static_cast<double>(index.pop(0).RawMembershipBytes()) / 1e6;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.h"
-
 namespace prkb::edbms {
 
 std::vector<uint8_t> ScanTuples(QpfOracle* qpf, const Trapdoor& td,
@@ -18,20 +16,10 @@ std::vector<uint8_t> ScanTuples(QpfOracle* qpf, const Trapdoor& td,
   }
 
   const size_t chunk = policy.batch_size;
-  const size_t num_chunks = (tids.size() + chunk - 1) / chunk;
-  auto run_chunk = [&](size_t c) {
-    const size_t begin = c * chunk;
+  for (size_t begin = 0; begin < tids.size(); begin += chunk) {
     const size_t len = std::min(chunk, tids.size() - begin);
     const BitVector bits = qpf->EvalBatch(td, tids.subspan(begin, len));
     for (size_t i = 0; i < len; ++i) out[begin + i] = bits.Get(i) ? 1 : 0;
-  };
-
-  if (policy.parallel() && num_chunks > 1) {
-    // Each chunk writes a disjoint byte range of `out`; the oracle's own
-    // counters are atomic, so chunks are independent tasks.
-    ThreadPool::Shared().ParallelFor(num_chunks, run_chunk, policy.workers);
-  } else {
-    for (size_t c = 0; c < num_chunks; ++c) run_chunk(c);
   }
   return out;
 }

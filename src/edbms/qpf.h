@@ -60,7 +60,7 @@ struct ProbeRequest {
 /// one round trip leaves the paper's QPF-use metric — and the bits the SP
 /// observes — unchanged while amortising the per-round latency.
 ///
-/// Counters are atomic so parallel scan workers can share one oracle.
+/// Counters are atomic so concurrent selections can share one oracle.
 class QpfOracle {
  public:
   QpfOracle() = default;

@@ -85,7 +85,7 @@ std::vector<TupleId> BaselineScanner::SelectConjunction(
   StatsScope scope(db_, stats, "baseline.conjunction");
   std::vector<TupleId> out;
 
-  if (!policy_.batched() && !policy_.parallel()) {
+  if (!policy_.batched()) {
     // Legacy scalar loop: left-to-right per tuple, stop at the first 0.
     const size_t n = db_->num_rows();
     for (TupleId tid = 0; tid < n; ++tid) {

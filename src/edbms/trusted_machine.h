@@ -36,7 +36,7 @@ namespace prkb::edbms {
 /// of ValueCrypter::kBatchLanes with a batched CTR keystream, then applies
 /// the same plain predicate the scalar entry does, so all three give the
 /// same bits. Counters are atomic and the verified trapdoor cache is
-/// lock-protected so parallel scan workers can drive one TM concurrently.
+/// lock-protected so concurrent selections can drive one TM.
 class TrustedMachine {
  public:
   /// Provisioned with the same seed as the data owner.
@@ -139,7 +139,7 @@ class TrustedMachine {
   crypto::AesCtr trapdoor_cipher_;
   crypto::HmacSha256 trapdoor_mac_;
   // Verified trapdoors, keyed by uid: MAC verification happens once per
-  // trapdoor, not once per tuple. Guarded for parallel scan workers.
+  // trapdoor, not once per tuple. Guarded for concurrent callers.
   mutable std::shared_mutex verified_mu_;
   std::unordered_map<uint64_t, Verified> verified_;
   std::atomic<uint64_t> predicate_evals_{0};

@@ -2,6 +2,7 @@
 #define PRKB_PRKB_MEMBERSET_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/serial.h"
@@ -10,8 +11,11 @@
 
 namespace prkb::core {
 
-/// Compressed sorted set of tuple ids — the partition-membership
-/// representation of `Pop` (docs/PERSISTENCE.md §2).
+/// Compressed sorted set of tuple ids — the packed form of a partition's
+/// membership in WAL records (docs/PERSISTENCE.md §3) and the count behind
+/// the `memberset.*` footprint gauges. It is not an in-memory structure of
+/// the chain: `Pop` holds membership only as its chain-ordered layout
+/// (DESIGN.md §13) and builds a MemberSet from a layout slice on demand.
 ///
 /// Roaring-style layout: ids are bucketed by their high 16 bits into
 /// *containers* of low-16-bit values, each stored in whichever of three forms
@@ -25,13 +29,8 @@ namespace prkb::core {
 ///             auto-increment keys): a partition is a contiguous run of the
 ///             hidden sorted order, so its tuple ids form O(1) runs.
 ///
-/// Iteration is always in ascending tuple-id order, which makes every
-/// consumer deterministic (the chain's layout rebuild, WAL deltas, snapshot
-/// encoding). Selections do not read MemberSets: they read the chain's
-/// contiguous tuple layout (Pop::tuples), which mirrors them.
-/// Mutations keep containers in their cheapest *mutable* form (array/bitmap);
-/// `Optimize()` re-packs clumped containers into runs and is called by the
-/// bulk constructors, so freshly split partitions are born compressed.
+/// Iteration is always in ascending tuple-id order, and the builders always
+/// pick the cheapest form, so equal sets encode to equal bytes.
 class MemberSet {
  public:
   MemberSet() = default;
@@ -39,28 +38,10 @@ class MemberSet {
   /// Builds from any tuple list (sorts + dedups a copy).
   static MemberSet FromTuples(const std::vector<edbms::TupleId>& tuples);
   /// Builds from a strictly ascending list (asserted in debug builds).
-  static MemberSet FromSorted(const std::vector<edbms::TupleId>& sorted);
-
-  /// --- Point ops -----------------------------------------------------------
-
-  /// Inserts `tid`; returns false if it was already present.
-  bool Add(edbms::TupleId tid);
-  /// Erases `tid`; returns false if it was absent.
-  bool Remove(edbms::TupleId tid);
-  bool Contains(edbms::TupleId tid) const;
+  static MemberSet FromSorted(std::span<const edbms::TupleId> sorted);
 
   size_t Size() const { return size_; }
   bool Empty() const { return size_ == 0; }
-  void Clear();
-
-  /// --- Set ops (ascending-merge; operands may alias) ----------------------
-
-  static MemberSet Union(const MemberSet& a, const MemberSet& b);
-  static MemberSet Intersect(const MemberSet& a, const MemberSet& b);
-  static MemberSet Difference(const MemberSet& a, const MemberSet& b);
-  /// In-place union (chain merges: |containers| work, not |members|, when
-  /// the operands' containers do not collide).
-  void UnionWith(const MemberSet& other);
 
   /// --- Iteration (ascending) ----------------------------------------------
 
@@ -70,10 +51,8 @@ class MemberSet {
   }
   std::vector<edbms::TupleId> ToVector() const;
 
-  /// --- Maintenance / accounting -------------------------------------------
+  /// --- Accounting ---------------------------------------------------------
 
-  /// Re-packs every container into its cheapest form (including runs).
-  void Optimize();
   /// Compressed heap footprint in bytes (container payloads + headers).
   size_t SizeBytes() const;
   size_t ContainerCount() const { return containers_.size(); }
@@ -82,10 +61,6 @@ class MemberSet {
 
   void EncodeTo(Encoder* enc) const;
   Status DecodeFrom(Decoder* dec);
-
-  /// Content equality (form-insensitive: a run container equals the array
-  /// holding the same ids).
-  bool operator==(const MemberSet& other) const;
 
  private:
   /// At most 4096 entries as an array; above that a bitmap is smaller.
@@ -113,27 +88,10 @@ class MemberSet {
     return (static_cast<edbms::TupleId>(key) << 16) | low;
   }
 
-  /// Index of the container with `key`, or the insertion point.
-  size_t LowerBound(uint16_t key) const;
-  Container* FindContainer(uint16_t key);
-  const Container* FindContainer(uint16_t key) const;
-
-  static bool ContainerContains(const Container& c, uint16_t low);
-  static bool ContainerAdd(Container* c, uint16_t low);
-  static bool ContainerRemove(Container* c, uint16_t low);
-  /// Converts a run container to array or bitmap (whichever fits) so point
-  /// mutations stay simple.
-  static void UnpackRuns(Container* c);
   static void ToBitmap(Container* c);
-  /// Re-packs `c` into its cheapest of the three forms.
+  /// Re-packs the array container `c` into its cheapest of the three forms.
   static void Compact(Container* c);
   static size_t ContainerBytes(const Container& c);
-
-  /// Expands run form so the binary set-op kernels see only array/bitmap.
-  static const Container& Expanded(const Container& c, Container* scratch);
-  static Container UnionC(const Container& a, const Container& b);
-  static Container IntersectC(const Container& a, const Container& b);
-  static Container DifferenceC(const Container& a, const Container& b);
 
   template <typename Fn>
   static void ForEachIn(const Container& c, Fn&& fn) {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <span>
 
 #include "obs/metrics.h"
+#include "prkb/memberset.h"
 
 namespace prkb::core {
 
@@ -59,25 +62,26 @@ void Pop::InitSingle(const std::vector<TupleId>& tuples) {
   if (tuples.empty()) {
     // Empty table: empty chain — still announced, so a WAL replays the
     // enable and recovers an empty-but-enabled attribute.
-    if (listener_ != nullptr) listener_->OnInit(MemberSet());
+    if (listener_ != nullptr) listener_->OnInit({});
     return;
   }
 
-  const PartitionId pid = NewPartition(MemberSet::FromTuples(tuples));
+  order_ = tuples;
+  std::sort(order_.begin(), order_.end());
+  order_.erase(std::unique(order_.begin(), order_.end()), order_.end());
+  num_tuples_ = order_.size();
+  const PartitionId pid = NewPartition();
   chain_.push_back(pid);
   pos_.resize(1, 0);
-  for (TupleId tid : tuples) {
-    if (tid >= part_of_.size()) part_of_.resize(tid + 1, kNoPartition);
-    part_of_[tid] = pid;
-  }
-  order_ = slots_[pid].members.ToVector();
+  part_of_.resize(order_.back() + 1, kNoPartition);
+  for (TupleId tid : order_) part_of_[tid] = pid;
   start_.push_back(static_cast<uint32_t>(order_.size()));
-  if (listener_ != nullptr) listener_->OnInit(slots_[pid].members);
+  if (listener_ != nullptr) listener_->OnInit(order_);
 }
 
-PartitionId Pop::NewPartition(MemberSet members) {
+PartitionId Pop::NewPartition() {
   const PartitionId pid = static_cast<PartitionId>(slots_.size());
-  slots_.push_back(Slot{std::move(members), /*live=*/true});
+  slots_.push_back(Slot{/*live=*/true});
   return pid;
 }
 
@@ -85,16 +89,6 @@ void Pop::RebuildPositionsFrom(size_t pos) {
   pos_.resize(slots_.size());
   for (size_t p = pos; p < chain_.size(); ++p) {
     pos_[chain_[p]] = static_cast<uint32_t>(p);
-  }
-}
-
-void Pop::RebuildLayout() {
-  order_.clear();
-  order_.reserve(num_tuples_);
-  start_.assign(1, 0);
-  for (PartitionId pid : chain_) {
-    slots_[pid].members.ForEach([this](TupleId tid) { order_.push_back(tid); });
-    start_.push_back(static_cast<uint32_t>(order_.size()));
   }
 }
 
@@ -114,37 +108,28 @@ uint64_t Pop::SplitPartition(PartitionId pid,
                              const std::vector<TupleId>& left_members,
                              const std::vector<TupleId>& right_members,
                              const edbms::Trapdoor& td, bool left_label) {
-  return SplitPartitionSets(pid, MemberSet::FromTuples(left_members),
-                            MemberSet::FromTuples(right_members), td,
-                            left_label);
-}
-
-uint64_t Pop::SplitPartitionSets(PartitionId pid, MemberSet left_members,
-                                 MemberSet right_members,
-                                 const edbms::Trapdoor& td, bool left_label) {
   assert(pid < slots_.size() && slots_[pid].live);
-  assert(!left_members.Empty() && !right_members.Empty());
-  assert(left_members.Size() + right_members.Size() ==
-         slots_[pid].members.Size());
-
+  assert(!left_members.empty() && !right_members.empty());
   const size_t pos = pos_[pid];
+  assert(left_members.size() + right_members.size() == size_at(pos));
+
   // The RIGHT half keeps the old pid so that cuts recorded as "immediately
   // left of X" for partitions right of the split stay correct, and so that
   // the cut previously left of `pid` remains left of the new left half's
   // left neighbour... (the left half is inserted just before `pid`).
-  slots_[pid].members = std::move(right_members);
-  const PartitionId left_pid = NewPartition(std::move(left_members));
+  const PartitionId left_pid = NewPartition();
   // Layout: the old slice is rewritten as the left half then the right
   // half, each ascending; only this slice and one offset change.
-  TupleId* out = order_.data() + start_[pos];
-  slots_[left_pid].members.ForEach([&](TupleId tid) {
-    part_of_[tid] = left_pid;
-    *out++ = tid;
-  });
-  slots_[pid].members.ForEach([&](TupleId tid) { *out++ = tid; });
+  const auto begin = order_.begin() + start_[pos];
+  const auto mid = std::copy(left_members.begin(), left_members.end(), begin);
+  const auto end = std::copy(right_members.begin(), right_members.end(), mid);
+  if (!std::is_sorted(begin, mid)) std::sort(begin, mid);
+  if (!std::is_sorted(mid, end)) std::sort(mid, end);
+  assert(std::adjacent_find(begin, mid) == mid &&
+         std::adjacent_find(mid, end) == end);
+  for (auto it = begin; it != mid; ++it) part_of_[*it] = left_pid;
   start_.insert(start_.begin() + static_cast<ptrdiff_t>(pos) + 1,
-                start_[pos] +
-                    static_cast<uint32_t>(slots_[left_pid].members.Size()));
+                start_[pos] + static_cast<uint32_t>(left_members.size()));
 
   chain_.insert(chain_.begin() + static_cast<ptrdiff_t>(pos), left_pid);
   RebuildPositionsFrom(pos);
@@ -163,7 +148,7 @@ uint64_t Pop::SplitPartitionSets(PartitionId pid, MemberSet left_members,
   PopMetrics::Get().splits->Add(1);
   PopMetrics::Get().chain_k_after_split->Record(chain_.size());
   if (listener_ != nullptr) {
-    listener_->OnSplit(pos, slots_[left_pid].members, td, left_label);
+    listener_->OnSplit(pos, tuples(pos, pos + 1), td, left_label);
   }
   return cuts_.back().id;
 }
@@ -185,7 +170,6 @@ void Pop::AddMember(PartitionId pid, TupleId tid) {
   buffer_.Remove(tid);
   if (tid >= part_of_.size()) part_of_.resize(tid + 1, kNoPartition);
   assert(part_of_[tid] == kNoPartition);
-  slots_[pid].members.Add(tid);
   part_of_[tid] = pid;
   ++num_tuples_;
 }
@@ -269,19 +253,17 @@ void Pop::RemoveTuple(TupleId tid) {
   }
   assert(tid < part_of_.size() && part_of_[tid] != kNoPartition);
   const PartitionId pid = part_of_[tid];
-  MemberSet& members = slots_[pid].members;
-  const bool removed = members.Remove(tid);
-  assert(removed);
-  (void)removed;
   part_of_[tid] = kNoPartition;
   --num_tuples_;
   const size_t pos = pos_[pid];
   const auto end = order_.begin() + start_[pos + 1];
-  order_.erase(std::lower_bound(order_.begin() + start_[pos], end, tid));
+  const auto it = std::lower_bound(order_.begin() + start_[pos], end, tid);
+  assert(it != end && *it == tid);
+  order_.erase(it);
   ShiftStartsAfter(pos, -1);
   if (listener_ != nullptr) listener_->OnRemove(tid);
 
-  if (!members.Empty()) return;
+  if (size_at(pos) != 0) return;
 
   // The partition emptied: remove it from the chain (POPᶜₖ becomes
   // POPᶜₖ₋₁, Sec. 7.2) and repair cut anchors.
@@ -329,11 +311,7 @@ PartitionId Pop::MergeAt(size_t pos) {
   PopMetrics::Get().merges->Add(1);
   const PartitionId left = chain_[pos];
   const PartitionId right = chain_[pos + 1];
-  MemberSet& lm = slots_[left].members;
-  MemberSet& rm = slots_[right].members;
-  rm.ForEach([&](TupleId tid) { part_of_[tid] = left; });
-  lm.UnionWith(rm);
-  rm.Clear();
+  for (TupleId tid : tuples(pos + 1, pos + 2)) part_of_[tid] = left;
   slots_[right].live = false;
   chain_.erase(chain_.begin() + static_cast<ptrdiff_t>(pos) + 1);
   RebuildPositionsFrom(pos);
@@ -419,13 +397,17 @@ std::vector<TupleId> Pop::AssembleFastPath(const FastPathEntry& e) const {
 
 size_t Pop::MembershipBytes() const {
   size_t bytes = 0;
-  for (PartitionId pid : chain_) bytes += slots_[pid].members.SizeBytes();
+  for (size_t p = 0; p < k(); ++p) {
+    bytes += MemberSet::FromSorted(tuples(p, p + 1)).SizeBytes();
+  }
   return bytes;
 }
 
 size_t Pop::MembershipContainers() const {
   size_t n = 0;
-  for (PartitionId pid : chain_) n += slots_[pid].members.ContainerCount();
+  for (size_t p = 0; p < k(); ++p) {
+    n += MemberSet::FromSorted(tuples(p, p + 1)).ContainerCount();
+  }
   return n;
 }
 
@@ -449,41 +431,41 @@ size_t Pop::SizeBytes() const {
 }
 
 Status Pop::Validate() const {
-  size_t covered = 0;
   for (size_t p = 0; p < chain_.size(); ++p) {
     const PartitionId pid = chain_[p];
     if (pid >= slots_.size() || !slots_[pid].live) {
       return Status::Corruption("dead partition in chain");
     }
     if (pos_[pid] != p) return Status::Corruption("pos_ out of sync");
-    if (slots_[pid].members.Empty()) {
-      return Status::Corruption("empty partition in chain");
-    }
-    bool in_sync = true;
-    slots_[pid].members.ForEach([&](TupleId tid) {
-      if (tid >= part_of_.size() || part_of_[tid] != pid) in_sync = false;
-      ++covered;
-    });
-    if (!in_sync) return Status::Corruption("part_of_ out of sync");
   }
-  if (covered != num_tuples_) {
-    return Status::Corruption("num_tuples_ out of sync");
-  }
-  // The layout is exactly the memberships, concatenated in chain order.
+  // The layout: k+1 monotone offsets from 0 to num_tuples_, every slice
+  // non-empty and strictly ascending, each tuple mapped to its slice's
+  // partition. A tuple in two slices would need two part_of_ entries, and
+  // the count below rules out covered tuples missing from the layout.
   if (start_.size() != chain_.size() + 1 || start_[0] != 0 ||
-      start_.back() != order_.size() || order_.size() != num_tuples_) {
+      start_.back() != num_tuples_ || order_.size() != num_tuples_) {
     return Status::Corruption("layout offsets out of sync");
   }
   for (size_t p = 0; p < chain_.size(); ++p) {
-    if (start_[p] > start_[p + 1] ||
-        size_at(p) != slots_[chain_[p]].members.Size()) {
-      return Status::Corruption("layout offsets out of sync");
+    if (start_[p] >= start_[p + 1]) {
+      return Status::Corruption("empty partition in chain");
     }
-    const TupleId* at = order_.data() + start_[p];
-    bool in_sync = true;
-    slots_[chain_[p]].members.ForEach(
-        [&](TupleId tid) { in_sync = in_sync && *at++ == tid; });
-    if (!in_sync) return Status::Corruption("layout out of sync");
+    const std::span<const TupleId> slice = tuples(p, p + 1);
+    if (std::adjacent_find(slice.begin(), slice.end(),
+                           std::greater_equal<TupleId>()) != slice.end()) {
+      return Status::Corruption("partition slice not strictly ascending");
+    }
+    for (TupleId tid : slice) {
+      if (tid >= part_of_.size() || part_of_[tid] != chain_[p]) {
+        return Status::Corruption("part_of_ out of sync");
+      }
+    }
+  }
+  if (static_cast<size_t>(std::count_if(
+          part_of_.begin(), part_of_.end(),
+          [](PartitionId pid) { return pid != kNoPartition; })) !=
+      num_tuples_) {
+    return Status::Corruption("part_of_ out of sync");
   }
   for (size_t i = 0; i < cuts_.size(); ++i) {
     const Cut& cut = cuts_[i];
@@ -544,19 +526,16 @@ Status Pop::ValidateAgainstPlain(const std::vector<Value>& plain_of) const {
   };
   std::vector<Range> ranges;
   ranges.reserve(chain_.size());
-  for (PartitionId pid : chain_) {
+  for (size_t p = 0; p < chain_.size(); ++p) {
     Value lo = std::numeric_limits<Value>::max();
     Value hi = std::numeric_limits<Value>::min();
-    bool missing = false;
-    slots_[pid].members.ForEach([&](TupleId tid) {
+    for (TupleId tid : tuples(p, p + 1)) {
       if (tid >= plain_of.size()) {
-        missing = true;
-        return;
+        return Status::InvalidArgument("missing plain value");
       }
       lo = std::min(lo, plain_of[tid]);
       hi = std::max(hi, plain_of[tid]);
-    });
-    if (missing) return Status::InvalidArgument("missing plain value");
+    }
     ranges.push_back(Range{lo, hi});
   }
   // The chain must be strictly increasing or strictly decreasing in value

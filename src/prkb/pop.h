@@ -14,7 +14,6 @@
 #include "edbms/types.h"
 #include "prkb/fingerprint.h"
 #include "prkb/insert_buffer.h"
-#include "prkb/memberset.h"
 
 namespace prkb::core {
 
@@ -32,15 +31,17 @@ using PartitionId = uint32_t;
 /// identified by chain position (stable across snapshot round trips, exact at
 /// replay time because records apply in order) and cuts by id (persisted
 /// verbatim by the v2 snapshot and reassigned deterministically by
-/// SplitPartition during replay).
+/// SplitPartition during replay). Member lists are ascending spans into the
+/// chain's layout, valid only for the duration of the callback.
 class PopListener {
  public:
   virtual ~PopListener() = default;
   /// InitSingle re-seeded the chain with one partition holding `members`.
-  virtual void OnInit(const MemberSet& members) = 0;
+  virtual void OnInit(std::span<const edbms::TupleId> members) = 0;
   /// A split put `left_members` at chain position `left_pos` and the
   /// remainder at `left_pos`+1, separated by a new cut built from `td`.
-  virtual void OnSplit(size_t left_pos, const MemberSet& left_members,
+  virtual void OnSplit(size_t left_pos,
+                       std::span<const edbms::TupleId> left_members,
                        const edbms::Trapdoor& td, bool left_label) = 0;
   virtual void OnLinkBetween(uint64_t low_cut, uint64_t high_cut) = 0;
   virtual void OnAdd(size_t pos, edbms::TupleId tid) = 0;
@@ -66,13 +67,13 @@ class PopListener {
 /// that created it (a "cut"). Cuts power insertion handling (Sec. 7.1): an
 /// O(lg k) binary search re-evaluates old trapdoors on the new tuple.
 ///
-/// Membership is stored compressed (MemberSet): that is the state of record
-/// for snapshots, the WAL and the footprint. Beside it the chain keeps a
-/// derived *chain-ordered layout* (DESIGN.md §13): every covered tuple in one
-/// flat array, partition by partition in chain order and ascending within
-/// each partition, so any run of partitions — a sure answer — is one
-/// contiguous slice. All selection-path reads go through tuples()/size_at();
-/// both orders are deterministic functions of the chain state.
+/// Membership is held once, as the *chain-ordered layout* (DESIGN.md §13):
+/// every covered tuple in one flat array, partition by partition in chain
+/// order and ascending within each partition, so any run of partitions — a
+/// sure answer — is one contiguous slice, read through tuples()/size_at().
+/// A tuple -> partition table answers the reverse lookup. Snapshots encode
+/// the slices as they are; the WAL and the footprint count pack a slice into
+/// a compressed MemberSet only when they need one.
 class Pop {
  public:
   static constexpr PartitionId kNoPartition =
@@ -124,12 +125,6 @@ class Pop {
   /// One past the largest partition id ever issued (live or retired): the
   /// size of a table indexed by PartitionId.
   size_t pid_capacity() const { return slots_.size(); }
-  const MemberSet& members(PartitionId pid) const {
-    return slots_[pid].members;
-  }
-  const MemberSet& members_at(size_t pos) const {
-    return members(chain_[pos]);
-  }
   /// The tuples of the partitions at chain positions [begin_pos, end_pos):
   /// one contiguous slice of the layout, partition by partition in chain
   /// order, ascending within each. Valid until the next chain mutation.
@@ -150,17 +145,14 @@ class Pop {
   /// Splits partition `pid` into (left_members, right_members) in chain
   /// order, recording `td` as the new cut between them. `left_label` is the
   /// QPF output of the left group under `td` (used by insertion handling for
-  /// comparison trapdoors). Both halves must be non-empty and together equal
-  /// the old membership. Returns the new cut's id.
+  /// comparison trapdoors). Both halves must be non-empty, duplicate-free,
+  /// outside the layout, and together equal the old membership; each is
+  /// written into the partition's slice in ascending order. Returns the new
+  /// cut's id.
   uint64_t SplitPartition(PartitionId pid,
                           const std::vector<edbms::TupleId>& left_members,
                           const std::vector<edbms::TupleId>& right_members,
                           const edbms::Trapdoor& td, bool left_label);
-  /// Set-op form: the halves are already compressed (WAL replay ships only
-  /// the left delta and computes right = old \ left).
-  uint64_t SplitPartitionSets(PartitionId pid, MemberSet left_members,
-                              MemberSet right_members,
-                              const edbms::Trapdoor& td, bool left_label);
 
   /// Marks two cuts as the two ends of one BETWEEN trapdoor's region.
   void LinkBetweenCuts(uint64_t low_cut, uint64_t high_cut);
@@ -171,7 +163,7 @@ class Pop {
   /// on the buffer state without a dedicated per-tuple flush record.
   void AddTuple(PartitionId pid, edbms::TupleId tid);
   /// AddTuple for every (partition, tuple) pair, in order — the same
-  /// memberships and listener records — but the layout is rebuilt once for
+  /// memberships and listener records — but the layout is updated once for
   /// the whole batch (one merge pass, O(n + k)) instead of once per tuple.
   void AddTuples(
       const std::vector<std::pair<PartitionId, edbms::TupleId>>& placements);
@@ -259,15 +251,17 @@ class Pop {
   /// Index footprint (Table 3): compressed partition membership plus chain
   /// order, retained trapdoors and the fast-path cache.
   size_t SizeBytes() const;
-  /// Compressed membership bytes alone (the MemberSet payloads).
+  /// Compressed membership bytes alone: every partition's slice packed into
+  /// a MemberSet (cheapest container forms), built on demand.
   size_t MembershipBytes() const;
-  /// What the membership would cost as raw vector<TupleId> storage —
-  /// the pre-compression representation Table 3 originally reported.
+  /// What the membership costs as raw 4-byte tuple ids — the layout the
+  /// process holds, and the representation Table 3 originally reported.
   size_t RawMembershipBytes() const { return num_tuples_ * sizeof(edbms::TupleId); }
-  /// Total MemberSet containers across the chain (memberset.containers).
+  /// Total MemberSet containers across the chain (memberset.containers),
+  /// built on demand like MembershipBytes().
   size_t MembershipContainers() const;
 
-  /// Structural invariant check (chain/pos/membership/layout consistency).
+  /// Structural invariant check (chain/pos/layout/part_of consistency).
   Status Validate() const;
 
   /// Serialises the chain and its cuts (prkb_io.cc). Deterministic: members
@@ -288,7 +282,6 @@ class Pop {
   static constexpr uint32_t kNoCutIdx = std::numeric_limits<uint32_t>::max();
 
   struct Slot {
-    MemberSet members;
     bool live = false;
     /// Index into cuts_ of the live cut immediately right of this partition
     /// (the cut whose left_pid is this slot), or kNoCutIdx. Derived state,
@@ -296,17 +289,16 @@ class Pop {
     uint32_t right_cut = kNoCutIdx;
   };
 
-  PartitionId NewPartition(MemberSet members);
+  PartitionId NewPartition();
   void RebuildPositionsFrom(size_t pos);
-  /// Membership bookkeeping of AddTuple, without touching the layout.
+  /// Buffer and part_of_ bookkeeping of AddTuple, without touching the
+  /// layout.
   void AddMember(PartitionId pid, edbms::TupleId tid);
-  /// Rebuilds order_/start_ from the memberships (decode).
-  void RebuildLayout();
   /// Adds `delta` to every layout offset right of chain position `pos`.
   void ShiftStartsAfter(size_t pos, int delta);
   /// Makes room for `extra` more layout entries, growing by an eighth
-  /// rather than doubling: the layout is process memory the footprint
-  /// metrics leave out, so its slack is kept small.
+  /// rather than doubling: the footprint metrics count the layout packed,
+  /// not its raw capacity, so its slack is kept small.
   void ReserveLayout(size_t extra);
   void DropCut(size_t cut_idx);
   /// Moves live cut `cut_idx` onto the boundary right of `dest`, which must
@@ -316,11 +308,11 @@ class Pop {
   std::vector<Slot> slots_;             // by pid
   std::vector<PartitionId> chain_;      // pos -> pid
   std::vector<uint32_t> pos_;           // pid -> pos
-  std::vector<PartitionId> part_of_;    // tid -> pid
-  // Chain-ordered layout (derived, like pos_ and part_of_: not serialised,
-  // not in SizeBytes). order_ holds every covered tuple, partition by
-  // partition in chain order, ascending within each; the partition at
-  // position p owns order_[start_[p], start_[p+1]). start_ has k+1 entries.
+  std::vector<PartitionId> part_of_;    // tid -> pid (derived)
+  // Chain-ordered layout: the membership of record. order_ holds every
+  // covered tuple, partition by partition in chain order, ascending within
+  // each; the partition at position p owns order_[start_[p], start_[p+1]).
+  // start_ has k+1 entries. SizeBytes counts it in compressed form.
   std::vector<edbms::TupleId> order_;
   std::vector<uint32_t> start_ = {0};
   std::vector<Cut> cuts_;

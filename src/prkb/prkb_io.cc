@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -43,12 +44,11 @@ Status DecodeTrapdoor(Decoder* dec, edbms::Trapdoor* td) {
 
 void Pop::EncodeTo(Encoder* enc) const {
   enc->PutVarint(chain_.size());
-  for (PartitionId pid : chain_) {
-    const MemberSet& m = slots_[pid].members;
-    enc->PutVarint(m.Size());
-    // Ascending, as MemberSet always iterates — the on-disk member lists are
-    // a deterministic function of the knowledge state.
-    m.ForEach([enc](edbms::TupleId tid) { enc->PutVarint(tid); });
+  for (size_t p = 0; p < chain_.size(); ++p) {
+    // Ascending, as every layout slice is — the on-disk member lists are a
+    // deterministic function of the knowledge state.
+    enc->PutVarint(size_at(p));
+    for (edbms::TupleId tid : tuples(p, p + 1)) enc->PutVarint(tid);
   }
   // Cuts, referenced by chain position of their left partition.
   size_t live_cuts = 0;
@@ -98,25 +98,30 @@ Status Pop::DecodeFrom(Decoder* dec) {
     uint64_t m;
     PRKB_RETURN_IF_ERROR(dec->GetVarint(&m));
     if (m == 0) return Status::Corruption("empty partition");
-    std::vector<edbms::TupleId> members;
-    members.reserve(m);
-    const PartitionId pid = static_cast<PartitionId>(slots_.size());
+    const PartitionId pid = NewPartition();
     for (uint64_t i = 0; i < m; ++i) {
       uint64_t tid;
       PRKB_RETURN_IF_ERROR(dec->GetVarint(&tid));
-      members.push_back(static_cast<edbms::TupleId>(tid));
+      // The encoder writes every member list strictly ascending; anything
+      // else (including a tuple listed twice) is not a snapshot it wrote.
+      if (i > 0 && tid <= order_.back()) {
+        return Status::Corruption("partition members not strictly ascending");
+      }
+      if (tid > std::numeric_limits<edbms::TupleId>::max()) {
+        return Status::Corruption("tuple id out of range");
+      }
       if (tid >= part_of_.size()) part_of_.resize(tid + 1, kNoPartition);
       if (part_of_[tid] != kNoPartition) {
         return Status::Corruption("tuple in two partitions");
       }
       part_of_[tid] = pid;
-      ++num_tuples_;
+      order_.push_back(static_cast<edbms::TupleId>(tid));
     }
-    NewPartition(MemberSet::FromTuples(members));
+    start_.push_back(static_cast<uint32_t>(order_.size()));
     chain_.push_back(pid);
   }
+  num_tuples_ = order_.size();
   RebuildPositionsFrom(0);
-  RebuildLayout();
 
   uint64_t ncuts;
   PRKB_RETURN_IF_ERROR(dec->GetVarint(&ncuts));

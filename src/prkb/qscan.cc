@@ -61,7 +61,7 @@ void ScanPartitionExact(const Pop& pop, size_t pos, const edbms::Trapdoor& td,
   }
   const std::span<const edbms::TupleId> rest = members.subspan(start);
   if (rest.empty()) return;
-  if (!policy.batched() && !policy.parallel()) {
+  if (!policy.batched()) {
     for (edbms::TupleId tid : rest) {
       if (qpf->Eval(td, tid)) {
         true_out->push_back(tid);

@@ -40,8 +40,8 @@ struct QScanResult {
 /// non-homogeneous, the second one's QPF outputs are already implied by
 /// `filter.label_last` (labelb in the paper) and it is not scanned.
 ///
-/// `policy` controls how the partition scans consume the QPF (chunked batch
-/// round trips, optionally issued by parallel workers). Each NS partition is
+/// `policy` controls how the partition scans consume the QPF (scalar calls
+/// or chunked batch round trips). Each NS partition is
 /// still scanned exhaustively and the early stop between the two partitions
 /// is unchanged, so results and QPF-use counts are identical to the scalar
 /// path for every policy.

@@ -39,9 +39,6 @@ struct PrkbOptions {
   /// without changing which (trapdoor, tuple) pairs are evaluated on the
   /// single-predicate paths.
   size_t batch_size = 1;
-  /// Threads (including the caller) issuing batch round trips concurrently
-  /// when one partition yields multiple chunks. 1 = single-threaded scans.
-  size_t scan_workers = 1;
   /// Repeat-predicate fast path: remember, per chain, the cut(s) each
   /// trapdoor carved and answer a byte-identical re-sent trapdoor from the
   /// chain alone — zero QPF uses, no probes, no split. `false` restores the
@@ -77,7 +74,7 @@ struct PrkbOptions {
   double buffer_flush_horizon = 8.0;
 
   edbms::BatchPolicy scan_policy() const {
-    return edbms::BatchPolicy{batch_size, scan_workers};
+    return edbms::BatchPolicy{batch_size};
   }
 
   ProbeSchedOptions sched() const {

@@ -7,9 +7,13 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
+#include "prkb/memberset.h"
 #include "prkb/prkb_io.h"
 #include "prkb/selection.h"
 
@@ -91,21 +95,21 @@ class PrkbWal::AttrSink : public PopListener {
  public:
   AttrSink(PrkbWal* wal, edbms::AttrId attr) : wal_(wal), attr_(attr) {}
 
-  void OnInit(const MemberSet& members) override {
+  void OnInit(std::span<const edbms::TupleId> members) override {
     Encoder enc;
     Head(&enc, kInit);
-    members.EncodeTo(&enc);
+    MemberSet::FromSorted(members).EncodeTo(&enc);
     wal_->Append(enc.buffer());
   }
 
-  void OnSplit(size_t left_pos, const MemberSet& left_members,
+  void OnSplit(size_t left_pos, std::span<const edbms::TupleId> left_members,
                const edbms::Trapdoor& td, bool left_label) override {
     Encoder enc;
     Head(&enc, kSplit);
     enc.PutVarint(left_pos);
     enc.PutU8(left_label ? 1 : 0);
     EncodeTrapdoor(&enc, td);
-    left_members.EncodeTo(&enc);
+    MemberSet::FromSorted(left_members).EncodeTo(&enc);
     wal_->Append(enc.buffer());
   }
 
@@ -339,16 +343,22 @@ Status PrkbWal::ApplyRecord(const uint8_t* payload, size_t size,
       if (left_pos >= pop.k()) {
         return Status::Corruption("split position out of range");
       }
-      const PartitionId pid = pop.pid_at(left_pos);
       // The record ships only the left delta; the right half is recomputed
-      // as a set difference against the pre-split membership.
-      MemberSet right = MemberSet::Difference(pop.members(pid), left);
-      if (left.Empty() || right.Empty() ||
-          left.Size() + right.Size() != pop.members(pid).Size()) {
+      // as a sorted difference against the pre-split slice. Both are
+      // strictly ascending, so the sizes add up iff left ⊆ slice.
+      const std::vector<edbms::TupleId> left_tuples = left.ToVector();
+      const std::span<const edbms::TupleId> slice =
+          pop.tuples(left_pos, left_pos + 1);
+      std::vector<edbms::TupleId> right;
+      right.reserve(slice.size());
+      std::set_difference(slice.begin(), slice.end(), left_tuples.begin(),
+                          left_tuples.end(), std::back_inserter(right));
+      if (left_tuples.empty() || right.empty() ||
+          left_tuples.size() + right.size() != slice.size()) {
         return Status::Corruption("split halves do not partition the members");
       }
-      pop.SplitPartitionSets(pid, std::move(left), std::move(right), td,
-                             left_label != 0);
+      pop.SplitPartition(pop.pid_at(left_pos), left_tuples, right, td,
+                         left_label != 0);
       return Status::Ok();
     }
     case kLink: {

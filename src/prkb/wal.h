@@ -50,8 +50,8 @@ struct WalOptions {
 /// both reproduce exactly during replay (positions by induction on the op
 /// sequence, ids because the snapshot persists them and SplitPartition
 /// assigns the next id deterministically). Split records ship only the left
-/// half as a compressed MemberSet delta; replay computes
-/// right = old \ left as a set difference.
+/// half, packed as a compressed MemberSet; replay computes right = old \ left
+/// as a sorted-vector difference against the partition's layout slice.
 ///
 /// Sensitivity: records hold tuple ids, chain positions and sealed
 /// trapdoors — the same material as the live service-provider state and the

@@ -1,5 +1,5 @@
 // Differential tests for the batched QPF pipeline: for identical query
-// streams, the batched/parallel paths must be observationally identical to
+// streams, the batched paths must be observationally identical to
 // the paper's scalar model — same winner sets, same final POP chains, same
 // total QPF-use counts — at every batch size, with batch_size = 1
 // reproducing today's behaviour exactly.
@@ -47,7 +47,10 @@ const size_t kBatchSizes[] = {1, 7, 64, 4096};
 std::vector<std::vector<TupleId>> ChainShape(const Pop& pop) {
   std::vector<std::vector<TupleId>> shape;
   shape.reserve(pop.k());
-  for (size_t p = 0; p < pop.k(); ++p) shape.push_back(pop.members_at(p).ToVector());
+  for (size_t p = 0; p < pop.k(); ++p) {
+    const auto slice = pop.tuples(p, p + 1);
+    shape.emplace_back(slice.begin(), slice.end());
+  }
   return shape;
 }
 
@@ -112,16 +115,13 @@ TEST(ScanTuplesTest, AllPoliciesAgreeOnBitsAndUses) {
   EXPECT_EQ(ref_uses, 300u);
 
   for (size_t batch : kBatchSizes) {
-    for (size_t workers : {size_t{1}, size_t{4}}) {
-      db.ResetUses();
-      const std::vector<uint8_t> got =
-          ScanTuples(&db, td, tids, BatchPolicy{batch, workers});
-      EXPECT_EQ(got, ref) << "batch=" << batch << " workers=" << workers;
-      EXPECT_EQ(db.uses(), ref_uses)
-          << "batch=" << batch << " workers=" << workers;
-      if (batch > 1) {
-        EXPECT_EQ(db.round_trips(), (tids.size() + batch - 1) / batch);
-      }
+    db.ResetUses();
+    const std::vector<uint8_t> got =
+        ScanTuples(&db, td, tids, BatchPolicy{batch});
+    EXPECT_EQ(got, ref) << "batch=" << batch;
+    EXPECT_EQ(db.uses(), ref_uses) << "batch=" << batch;
+    if (batch > 1) {
+      EXPECT_EQ(db.round_trips(), (tids.size() + batch - 1) / batch);
     }
   }
 }
@@ -144,9 +144,8 @@ struct Workbench {
 // Drives the same mixed single-predicate workload (comparisons, BETWEENs,
 // no-index fallback scans, inserts, deletes) through one scalar-policy and
 // one batched-policy instance, comparing every observable after every step.
-void RunDifferentialWorkload(size_t batch_size, size_t workers) {
-  SCOPED_TRACE(::testing::Message()
-               << "batch_size=" << batch_size << " workers=" << workers);
+void RunDifferentialWorkload(size_t batch_size) {
+  SCOPED_TRACE(::testing::Message() << "batch_size=" << batch_size);
   Rng data_rng(11);
   // Mutable: rows inserted during the workload are mirrored here so the
   // plaintext oracle stays the ground truth for the whole run.
@@ -160,7 +159,6 @@ void RunDifferentialWorkload(size_t batch_size, size_t workers) {
   const PrkbOptions scalar_opts = testutil::FanoutTwoControl();
   PrkbOptions batched_opts = testutil::FanoutTwoControl();
   batched_opts.batch_size = batch_size;
-  batched_opts.scan_workers = workers;
   Workbench ref(plain, scalar_opts);
   Workbench bat(plain, batched_opts);
   obs::Counter* probe_requests =
@@ -224,7 +222,7 @@ void RunDifferentialWorkload(size_t batch_size, size_t workers) {
   // Identical cumulative QPF-use counts and identical final chains.
   EXPECT_EQ(ref.db.uses(), bat.db.uses());
   EXPECT_EQ(ChainShape(ref.index.pop(0)), ChainShape(bat.index.pop(0)));
-  if (batch_size == 1 && workers == 1) {
+  if (batch_size == 1) {
     // batch_size = 1 must *be* the scalar scan path: every scan evaluation
     // pays its own round trip. The only trips carrying several evaluations
     // are the probe scheduler's multi-lane rounds (each search's ends
@@ -240,15 +238,12 @@ void RunDifferentialWorkload(size_t batch_size, size_t workers) {
 }
 
 TEST(BatchDifferentialTest, Batch1IsExactlyScalar) {
-  RunDifferentialWorkload(1, 1);
+  RunDifferentialWorkload(1);
 }
-TEST(BatchDifferentialTest, Batch7) { RunDifferentialWorkload(7, 1); }
-TEST(BatchDifferentialTest, Batch64) { RunDifferentialWorkload(64, 1); }
+TEST(BatchDifferentialTest, Batch7) { RunDifferentialWorkload(7); }
+TEST(BatchDifferentialTest, Batch64) { RunDifferentialWorkload(64); }
 TEST(BatchDifferentialTest, Batch4096SingleBatchPerScan) {
-  RunDifferentialWorkload(4096, 1);
-}
-TEST(BatchDifferentialTest, Batch64ParallelWorkers) {
-  RunDifferentialWorkload(64, 4);
+  RunDifferentialWorkload(4096);
 }
 
 // --------------------------------------------------------- conjunction path
@@ -276,7 +271,7 @@ TEST(BatchDifferentialTest, BaselineConjunctionSurvivorSetsMatchScalar) {
         tds.push_back(db.MakeComparison(p.attr, p.op, p.lo));
       }
       SelectionStats stats;
-      const auto out = edbms::BaselineScanner(&db, BatchPolicy{batch, 1})
+      const auto out = edbms::BaselineScanner(&db, BatchPolicy{batch})
                            .SelectConjunction(tds, &stats);
       EXPECT_EQ(Sorted(out), Sorted(ref_out)) << "batch=" << batch;
       // Predicate i runs on exactly the survivors of 0..i-1 either way.

@@ -91,7 +91,7 @@ TEST(QFilterEdgeTest, RecursiveCaseWinnersFollowTheTrueSide) {
   // {40,50,60} exactly once QScan resolves; here check the filter's claim.
   size_t win_tuples = 0;
   for (size_t p = f.win_begin; p < f.win_end; ++p) {
-    win_tuples += index.pop(0).members_at(p).Size();
+    win_tuples += index.pop(0).size_at(p);
   }
   EXPECT_EQ(win_tuples, 2u);  // {50}, {60}; {40} sits in the NS pair
 }

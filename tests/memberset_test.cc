@@ -1,6 +1,7 @@
-// Property tests for the Roaring-style compressed membership set
-// (prkb/memberset.h) against a std::set oracle, exercised across the
-// array / bitmap / run container-type boundaries.
+// Tests for the Roaring-style compressed membership set (prkb/memberset.h),
+// the packed form of WAL member lists and of the footprint count: encoding
+// against a std::set oracle across the array / bitmap / run container
+// shapes, corrupt-input handling, and the compression ratio.
 #include "prkb/memberset.h"
 
 #include <gtest/gtest.h>
@@ -74,71 +75,6 @@ std::vector<TupleId> ShapedValues(int shape, Rng* rng) {
   return vals;
 }
 
-TEST(MemberSetTest, AddRemoveContainsMatchOracleAcrossShapes) {
-  Rng rng(0xC0FFEE);
-  for (int shape = 0; shape < 10; ++shape) {
-    MemberSet ms;
-    std::set<TupleId> oracle;
-    for (TupleId v : ShapedValues(shape, &rng)) {
-      ms.Add(v);
-      oracle.insert(v);
-    }
-    ExpectMatches(ms, oracle);
-    // Remove a random half; every container must shrink consistently
-    // (bitmap→array demotion happens under the hood).
-    std::vector<TupleId> all = ToVec(oracle);
-    for (size_t i = 0; i < all.size(); i += 2) {
-      EXPECT_TRUE(ms.Remove(all[i]));
-      oracle.erase(all[i]);
-    }
-    EXPECT_FALSE(ms.Remove(999999999));  // absent: no-op, reports false
-    ExpectMatches(ms, oracle);
-    for (TupleId v : all) {
-      EXPECT_EQ(ms.Contains(v), oracle.contains(v)) << v;
-    }
-  }
-}
-
-TEST(MemberSetTest, SetOperationsMatchOracle) {
-  Rng rng(42);
-  for (int trial = 0; trial < 8; ++trial) {
-    const auto va = ShapedValues(trial, &rng);
-    const auto vb = ShapedValues(trial + 2, &rng);
-    const MemberSet a = MemberSet::FromTuples(va);
-    const MemberSet b = MemberSet::FromTuples(vb);
-    const std::set<TupleId> oa(va.begin(), va.end());
-    const std::set<TupleId> ob(vb.begin(), vb.end());
-
-    std::set<TupleId> u = oa, inter, diff;
-    u.insert(ob.begin(), ob.end());
-    for (TupleId t : oa) {
-      if (ob.contains(t)) inter.insert(t);
-      else diff.insert(t);
-    }
-    ExpectMatches(MemberSet::Union(a, b), u);
-    ExpectMatches(MemberSet::Intersect(a, b), inter);
-    ExpectMatches(MemberSet::Difference(a, b), diff);
-
-    MemberSet c = a;
-    c.UnionWith(b);
-    ExpectMatches(c, u);
-  }
-}
-
-TEST(MemberSetTest, SplitAsDifferenceReassemblesExactly) {
-  // The WAL split-replay identity: right = old \ left, left ∪ right = old.
-  Rng rng(7);
-  const auto vals = ShapedValues(2, &rng);
-  const MemberSet old = MemberSet::FromTuples(vals);
-  std::vector<TupleId> half(vals.begin(),
-                            vals.begin() + static_cast<long>(vals.size() / 3));
-  const MemberSet left = MemberSet::Intersect(old, MemberSet::FromTuples(half));
-  const MemberSet right = MemberSet::Difference(old, left);
-  EXPECT_EQ(left.Size() + right.Size(), old.Size());
-  EXPECT_TRUE(MemberSet::Intersect(left, right).Empty());
-  EXPECT_TRUE(MemberSet::Union(left, right) == old);
-}
-
 TEST(MemberSetTest, EncodingRoundTripsAndIsDeterministic) {
   Rng rng(99);
   for (int shape = 0; shape < 5; ++shape) {
@@ -147,20 +83,17 @@ TEST(MemberSetTest, EncodingRoundTripsAndIsDeterministic) {
     Encoder enc;
     ms.EncodeTo(&enc);
 
-    // Same set built in a different insertion order encodes identically.
+    // The same set listed in a different order encodes identically.
     std::shuffle(vals.begin(), vals.end(), std::mt19937(shape));
-    MemberSet scrambled;
-    for (TupleId v : vals) scrambled.Add(v);
-    scrambled.Optimize();
     Encoder enc2;
-    scrambled.EncodeTo(&enc2);
+    MemberSet::FromTuples(vals).EncodeTo(&enc2);
     EXPECT_EQ(enc.buffer(), enc2.buffer());
 
     MemberSet back;
     Decoder dec(enc.buffer());
     ASSERT_TRUE(back.DecodeFrom(&dec).ok());
     EXPECT_TRUE(dec.Done());
-    EXPECT_TRUE(back == ms);
+    ExpectMatches(back, std::set<TupleId>(vals.begin(), vals.end()));
   }
 }
 
@@ -184,8 +117,7 @@ TEST(MemberSetTest, CompressionBeatsRawVectorsOnRunHeavyData) {
   // tiny fraction of the raw 4-byte-per-tuple footprint (ISSUE: ≥5×).
   std::vector<TupleId> run(100000);
   for (size_t i = 0; i < run.size(); ++i) run[i] = static_cast<TupleId>(i);
-  MemberSet ms = MemberSet::FromTuples(run);
-  ms.Optimize();
+  const MemberSet ms = MemberSet::FromTuples(run);
   EXPECT_LT(ms.SizeBytes() * 5, run.size() * sizeof(TupleId));
   EXPECT_GE(ms.ContainerCount(), 1u);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,12 +31,18 @@ edbms::Trapdoor FakeTrapdoor(uint64_t uid,
   return td;
 }
 
+/// The partition at chain position `pos`, ascending.
+std::vector<TupleId> Slice(const Pop& pop, size_t pos) {
+  const auto slice = pop.tuples(pos, pos + 1);
+  return std::vector<TupleId>(slice.begin(), slice.end());
+}
+
 TEST(PopTest, InitSingleCoversAllTuples) {
   Pop pop;
   pop.InitSingle(5);
   EXPECT_EQ(pop.k(), 1u);
   EXPECT_EQ(pop.num_tuples(), 5u);
-  EXPECT_EQ(pop.members_at(0).Size(), 5u);
+  EXPECT_EQ(pop.size_at(0), 5u);
   for (TupleId t = 0; t < 5; ++t) {
     EXPECT_EQ(pop.partition_of(t), pop.pid_at(0));
   }
@@ -59,8 +66,8 @@ TEST(PopTest, SplitCreatesOrderedChainAndCut) {
   EXPECT_NE(cut, Pop::kNoCut);
   // Left half at position 0, right (keeping the old pid) at position 1.
   EXPECT_EQ(pop.pid_at(1), pid);
-  EXPECT_EQ(pop.members_at(0).ToVector(), (std::vector<TupleId>{0, 2}));
-  EXPECT_EQ(pop.members_at(1).ToVector(), (std::vector<TupleId>{1, 3}));
+  EXPECT_EQ(Slice(pop, 0), (std::vector<TupleId>{0, 2}));
+  EXPECT_EQ(Slice(pop, 1), (std::vector<TupleId>{1, 3}));
   EXPECT_EQ(pop.partition_of(0), pop.pid_at(0));
   EXPECT_EQ(pop.partition_of(1), pid);
   EXPECT_TRUE(pop.Validate().ok());
@@ -123,8 +130,8 @@ TEST(PopTest, EmptyingMiddlePartitionShrinksChain) {
   // Remove the middle partition's only tuple: POP_3 -> POP_2 (Sec. 7.2).
   pop.RemoveTuple(1);
   EXPECT_EQ(pop.k(), 2u);
-  EXPECT_EQ(pop.members_at(0).ToVector(), (std::vector<TupleId>{0}));
-  EXPECT_EQ(pop.members_at(1).ToVector(), (std::vector<TupleId>{2, 3}));
+  EXPECT_EQ(Slice(pop, 0), (std::vector<TupleId>{0}));
+  EXPECT_EQ(Slice(pop, 1), (std::vector<TupleId>{2, 3}));
   EXPECT_TRUE(pop.Validate().ok());
   // A surviving cut still separates the two remaining partitions.
   size_t live = 0;
@@ -166,7 +173,7 @@ TEST(PopTest, MergeRetiresInteriorCutAndKeepsOuterOnes) {
   ASSERT_EQ(pop.k(), 3u);
   pop.MergeAt(1);  // merge {2,3} and {4,5}
   EXPECT_EQ(pop.k(), 2u);
-  EXPECT_EQ(pop.members_at(1).Size(), 4u);
+  EXPECT_EQ(pop.size_at(1), 4u);
   size_t live = 0;
   for (const auto& cut : pop.cuts()) live += !cut.dropped;
   EXPECT_EQ(live, 1u);  // only the first cut survives
@@ -252,16 +259,23 @@ std::vector<uint8_t> Encoded(const Pop& pop) {
   return enc.Release();
 }
 
-/// The layout must be exactly the memberships concatenated in chain order:
-/// over the whole chain and over a random run of partitions.
-void ExpectLayoutMatchesMembers(const Pop& pop, Rng* rng) {
+/// The test's own record of the chain: one set of tuples per chain
+/// position, updated by every step independently of `Pop`.
+using Model = std::vector<std::set<TupleId>>;
+
+/// The layout must hold exactly the model's partitions in chain order: per
+/// position, over the whole chain and over a random run of partitions.
+void ExpectLayoutMatchesModel(const Pop& pop, const Model& model, Rng* rng) {
   ASSERT_TRUE(pop.Validate().ok()) << pop.Validate().ToString();
+  ASSERT_EQ(pop.k(), model.size());
   std::vector<TupleId> all;
-  for (size_t p = 0; p < pop.k(); ++p) {
-    const std::vector<TupleId> m = pop.members_at(p).ToVector();
-    ASSERT_EQ(pop.size_at(p), m.size());
-    all.insert(all.end(), m.begin(), m.end());
+  for (size_t p = 0; p < model.size(); ++p) {
+    ASSERT_EQ(Slice(pop, p), std::vector<TupleId>(model[p].begin(),
+                                                   model[p].end()))
+        << "position " << p;
+    all.insert(all.end(), model[p].begin(), model[p].end());
   }
+  EXPECT_EQ(pop.num_tuples(), all.size());
   const auto whole = pop.tuples(0, pop.k());
   ASSERT_EQ(std::vector<TupleId>(whole.begin(), whole.end()), all);
   if (pop.k() == 0) return;
@@ -269,8 +283,7 @@ void ExpectLayoutMatchesMembers(const Pop& pop, Rng* rng) {
   const size_t e = rng->UniformInt(b, pop.k());
   std::vector<TupleId> want;
   for (size_t p = b; p < e; ++p) {
-    const std::vector<TupleId> m = pop.members_at(p).ToVector();
-    want.insert(want.end(), m.begin(), m.end());
+    want.insert(want.end(), model[p].begin(), model[p].end());
   }
   const auto run = pop.tuples(b, e);
   EXPECT_EQ(std::vector<TupleId>(run.begin(), run.end()), want);
@@ -280,9 +293,10 @@ TEST(PopTest, RandomMutationsKeepLayoutExactThroughCodecAndWalReplay) {
   // Interleaves every chain mutation — splits (comparison and linked
   // BETWEEN pairs), single and batched adds, removes of chained and
   // buffered tuples, merges, re-inits, snapshot round trips — on a chain
-  // logged by a real WAL. After each step the layout must equal the
-  // memberships; every 16 steps a replica recovered from a copy of the WAL
-  // directory must encode to the same bytes and hold the same layout.
+  // logged by a real WAL. The test keeps its own model of every partition;
+  // after each step the layout must equal it, and every 16 steps a replica
+  // recovered from a copy of the WAL directory must encode to the same
+  // bytes and match the model too.
   namespace fs = std::filesystem;
   constexpr TupleId kUniverse = 300;
   edbms::PlainTable plain(1);
@@ -302,6 +316,8 @@ TEST(PopTest, RandomMutationsKeepLayoutExactThroughCodecAndWalReplay) {
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
     Rng rng(seed * 977);
     uint64_t uid = 1;
+    Model model = {std::set<TupleId>()};
+    for (TupleId t = 0; t < kUniverse; ++t) model[0].insert(t);
     const auto uncovered = [&](Pop& pop) {
       std::vector<TupleId> out;
       for (TupleId t = 0; t < kUniverse; ++t) {
@@ -319,14 +335,27 @@ TEST(PopTest, RandomMutationsKeepLayoutExactThroughCodecAndWalReplay) {
       }
       if (splittable.empty()) return Pop::kNoCut;
       const size_t pos = splittable[rng.UniformInt(0, splittable.size() - 1)];
-      std::vector<TupleId> members = pop.members_at(pos).ToVector();
+      std::vector<TupleId> members(model[pos].begin(), model[pos].end());
       rng.Shuffle(&members);
       const size_t cut = rng.UniformInt(1, members.size() - 1);
-      return pop.SplitPartition(
-          pop.pid_at(pos),
-          std::vector<TupleId>(members.begin(), members.begin() + cut),
-          std::vector<TupleId>(members.begin() + cut, members.end()),
-          FakeTrapdoor(uid++, kind), rng.UniformInt(0, 1) == 1);
+      const std::vector<TupleId> left(members.begin(), members.begin() + cut);
+      const std::vector<TupleId> right(members.begin() + cut, members.end());
+      model[pos] = std::set<TupleId>(right.begin(), right.end());
+      model.insert(model.begin() + static_cast<ptrdiff_t>(pos),
+                   std::set<TupleId>(left.begin(), left.end()));
+      return pop.SplitPartition(pop.pid_at(pos), left, right,
+                                FakeTrapdoor(uid++, kind),
+                                rng.UniformInt(0, 1) == 1);
+    };
+    // Drops `tid` from the model; an emptied partition leaves the chain.
+    const auto model_remove = [&](TupleId tid) {
+      for (size_t p = 0; p < model.size(); ++p) {
+        if (model[p].erase(tid) == 0) continue;
+        if (model[p].empty()) {
+          model.erase(model.begin() + static_cast<ptrdiff_t>(p));
+        }
+        return;
+      }
     };
     for (int step = 0; step < 400; ++step) {
       SCOPED_TRACE(::testing::Message() << "step " << step);
@@ -345,7 +374,9 @@ TEST(PopTest, RandomMutationsKeepLayoutExactThroughCodecAndWalReplay) {
       } else if (op < 48) {
         if (!free.empty() && pop.k() > 0) {
           const TupleId tid = free[rng.UniformInt(0, free.size() - 1)];
-          pop.AddTuple(pop.pid_at(rng.UniformInt(0, pop.k() - 1)), tid);
+          const size_t pos = rng.UniformInt(0, pop.k() - 1);
+          pop.AddTuple(pop.pid_at(pos), tid);
+          model[pos].insert(tid);
         }
       } else if (op < 63) {
         if (pop.num_tuples() + pop.insert_buffer().Size() > 1) {
@@ -356,10 +387,17 @@ TEST(PopTest, RandomMutationsKeepLayoutExactThroughCodecAndWalReplay) {
               present.push_back(t);
             }
           }
-          pop.RemoveTuple(present[rng.UniformInt(0, present.size() - 1)]);
+          const TupleId tid = present[rng.UniformInt(0, present.size() - 1)];
+          pop.RemoveTuple(tid);
+          model_remove(tid);
         }
       } else if (op < 71) {
-        if (pop.k() >= 2) pop.MergeAt(rng.UniformInt(0, pop.k() - 2));
+        if (pop.k() >= 2) {
+          const size_t pos = rng.UniformInt(0, pop.k() - 2);
+          pop.MergeAt(pos);
+          model[pos].insert(model[pos + 1].begin(), model[pos + 1].end());
+          model.erase(model.begin() + static_cast<ptrdiff_t>(pos) + 1);
+        }
       } else if (op < 78) {
         if (!free.empty()) {
           pop.BufferAppend(free[rng.UniformInt(0, free.size() - 1)]);
@@ -369,16 +407,16 @@ TEST(PopTest, RandomMutationsKeepLayoutExactThroughCodecAndWalReplay) {
         // plus a few fresh ones, each into a random partition.
         if (pop.k() > 0) {
           std::vector<std::pair<PartitionId, TupleId>> batch;
+          const auto place = [&](TupleId t) {
+            const size_t pos = rng.UniformInt(0, pop.k() - 1);
+            batch.emplace_back(pop.pid_at(pos), t);
+            model[pos].insert(t);
+          };
           const std::vector<TupleId> buffered = pop.insert_buffer().order();
-          for (TupleId t : buffered) {
-            batch.emplace_back(pop.pid_at(rng.UniformInt(0, pop.k() - 1)), t);
-          }
+          for (TupleId t : buffered) place(t);
           const size_t fresh =
               std::min<size_t>(free.size(), rng.UniformInt(0, 12));
-          for (size_t i = 0; i < fresh; ++i) {
-            batch.emplace_back(pop.pid_at(rng.UniformInt(0, pop.k() - 1)),
-                               free[i]);
-          }
+          for (size_t i = 0; i < fresh; ++i) place(free[i]);
           pop.AddTuples(batch);
           if (!buffered.empty()) pop.NoteBufferFlushed(buffered.size());
         }
@@ -388,17 +426,19 @@ TEST(PopTest, RandomMutationsKeepLayoutExactThroughCodecAndWalReplay) {
           if (rng.UniformInt(0, 2) != 0) some.push_back(t);
         }
         pop.InitSingle(some);
+        model.clear();
+        if (!some.empty()) model.emplace_back(some.begin(), some.end());
       } else {
         Pop decoded;
         const std::vector<uint8_t> bytes = Encoded(pop);
         Decoder dec(bytes.data(), bytes.size());
         ASSERT_TRUE(decoded.DecodeFrom(&dec).ok());
-        ExpectLayoutMatchesMembers(decoded, &rng);
+        ExpectLayoutMatchesModel(decoded, model, &rng);
         EXPECT_EQ(Encoded(decoded), bytes);
         index.InstallPop(0, std::move(decoded));
       }
       ASSERT_TRUE((*wal)->Commit().ok());
-      ExpectLayoutMatchesMembers(index.pop(0), &rng);
+      ExpectLayoutMatchesModel(index.pop(0), model, &rng);
       if (step % 16 == 15) {
         fs::remove_all(copy);
         fs::copy(dir, copy, fs::copy_options::recursive);
@@ -406,7 +446,7 @@ TEST(PopTest, RandomMutationsKeepLayoutExactThroughCodecAndWalReplay) {
         auto rwal = PrkbWal::Open(&replica, copy);
         ASSERT_TRUE(rwal.ok()) << rwal.status().ToString();
         ASSERT_TRUE(replica.IsEnabled(0));
-        ExpectLayoutMatchesMembers(replica.pop(0), &rng);
+        ExpectLayoutMatchesModel(replica.pop(0), model, &rng);
         EXPECT_EQ(Encoded(replica.pop(0)), Encoded(index.pop(0)));
         const auto a = replica.pop(0).tuples(0, replica.pop(0).k());
         const auto b = index.pop(0).tuples(0, index.pop(0).k());

@@ -41,7 +41,10 @@ constexpr uint64_t kSeed = 0x5C4ED;
 std::vector<std::vector<TupleId>> ChainShape(const Pop& pop) {
   std::vector<std::vector<TupleId>> shape;
   shape.reserve(pop.k());
-  for (size_t p = 0; p < pop.k(); ++p) shape.push_back(pop.members_at(p).ToVector());
+  for (size_t p = 0; p < pop.k(); ++p) {
+    const auto slice = pop.tuples(p, p + 1);
+    shape.emplace_back(slice.begin(), slice.end());
+  }
   return shape;
 }
 

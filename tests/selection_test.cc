@@ -268,7 +268,7 @@ TEST(SelectionBudgetTest, WarmQueryRespectsTheoreticalBound) {
     const Pop& pop = index.pop(0);
     size_t max_two = 0, max_one = 0;
     for (size_t p = 0; p < pop.k(); ++p) {
-      const size_t sz = pop.members_at(p).Size();
+      const size_t sz = pop.size_at(p);
       if (sz >= max_one) {
         max_two = max_one;
         max_one = sz;

@@ -318,6 +318,73 @@ TEST(PrkbIoTest, LoadRejectsTwoCutsOnOneBoundary) {
   std::remove(path.c_str());
 }
 
+// Writes a v3 snapshot of one single-partition chain on attribute 0 whose
+// member list is `members`, verbatim, with no cuts, cache or buffer.
+void WriteOnePartitionSnapshot(const std::string& path,
+                               const std::vector<uint64_t>& members) {
+  Encoder enc;
+  enc.PutU32(0x50524B42);  // "PRKB"
+  enc.PutU8(3);
+  enc.PutVarint(1);  // one attribute
+  enc.PutU32(0);
+  enc.PutVarint(1);  // k
+  enc.PutVarint(members.size());
+  for (uint64_t tid : members) enc.PutVarint(tid);
+  enc.PutVarint(0);  // live cuts
+  enc.PutU64(1);     // next cut id
+  enc.PutVarint(0);  // fast-path entries
+  enc.PutVarint(0);  // buffered tuples
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(enc.buffer().data(), 1, enc.buffer().size(), f);
+  std::fclose(f);
+}
+
+// The encoder writes every partition's members strictly ascending. A list
+// out of order, or one naming a tuple twice, is corrupt: it must fail the
+// load rather than be sorted or deduplicated into a different chain.
+void ExpectMemberListRejected(const std::vector<uint64_t>& members) {
+  PlainTable plain(1);
+  for (Value v : {10, 20, 30}) plain.AddRow({v});
+  auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);
+  const std::string path = testing::TempDir() + "/prkb_io_member_list.bin";
+
+  WriteOnePartitionSnapshot(path, {0, 1, 2});  // control
+  PrkbIndex ok_index(&db);
+  ASSERT_TRUE(LoadPrkb(&ok_index, path).ok());
+  EXPECT_EQ(ok_index.pop(0).num_tuples(), 3u);
+
+  WriteOnePartitionSnapshot(path, members);
+  PrkbIndex index(&db);
+  const Status s = LoadPrkb(&index, path);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("not strictly ascending"), std::string::npos)
+      << s.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(PrkbIoTest, LoadRejectsUnsortedPartitionMembers) {
+  ExpectMemberListRejected({2, 0, 1});
+}
+
+TEST(PrkbIoTest, LoadRejectsTupleListedTwiceInOnePartition) {
+  ExpectMemberListRejected({0, 1, 1});
+}
+
+TEST(PrkbIoTest, LoadRejectsTupleIdBeyondTheIdSpace) {
+  // A varint wider than a tuple id must not be truncated into a valid one.
+  PlainTable plain(1);
+  auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);
+  const std::string path = testing::TempDir() + "/prkb_io_wide_tid.bin";
+  WriteOnePartitionSnapshot(path, {0, uint64_t{1} << 32});
+  PrkbIndex index(&db);
+  const Status s = LoadPrkb(&index, path);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("out of range"), std::string::npos)
+      << s.ToString();
+  std::remove(path.c_str());
+}
+
 TEST(PrkbIoTest, LoadRejectsMissingFile) {
   PlainTable plain(1);
   auto db = CipherbaseEdbms::FromPlainTable(kSeed, plain);

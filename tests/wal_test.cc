@@ -395,5 +395,55 @@ TEST_F(WalTest, RepeatPredicateStaysZeroQpfAfterRecovery)  {
   EXPECT_EQ(stats.qpf_uses, 0u);
 }
 
+TEST_F(WalTest, RecoversGoldenDirectoryFromAnEarlierBuild) {
+  // tests/golden/wal_v3 holds a WAL directory written by an earlier build
+  // (before the chain layout became the only membership) over this
+  // fixture's table and key:
+  //   snapshot.prkb — attribute 0 after x0 >= 500, x0 < 250 and
+  //                   600 <= x0 <= 800;
+  //   wal.log       — 29 records: enabling attribute 1 (init); x1 >= 400,
+  //                   x1 < 700 and 300 <= x1 <= 800 (comparison splits,
+  //                   linked BETWEEN splits, remembers); x0 < 700; two
+  //                   inserted rows (adds); deletes of tuples 3 and 17
+  //                   (removes); MergeAt(0) on attribute 1; rows 242 and 243
+  //                   appended to both insert buffers and attribute 0
+  //                   flushed (appends, adds, flush); 243 deleted (a
+  //                   buffered remove on attribute 1); x0 >= 500 repeated.
+  // Today's code must replay every record, satisfy the plaintext oracle
+  // and land on exactly the chain bytes the writing build recovered.
+  const std::string dir = FreshDir("wal_golden");
+  fs::copy(std::string(PRKB_GOLDEN_DIR) + "/wal_v3", dir);
+  WalOptions opts;
+  opts.fsync_on_commit = false;
+  opts.compact_threshold_bytes = 0;
+  PrkbIndex recovered(db_.get());
+  auto rwal = PrkbWal::Open(&recovered, dir, opts);
+  ASSERT_TRUE(rwal.ok()) << rwal.status().ToString();
+  EXPECT_EQ((*rwal)->stats().replayed_records, 29u);
+
+  edbms::PlainTable plain = plain_;
+  for (const std::vector<edbms::Value>& row :
+       std::vector<std::vector<edbms::Value>>{
+           {123, 456}, {999, 1}, {555, 777}, {42, 900}}) {
+    plain.AddRow(row);
+  }
+  for (edbms::AttrId attr : {0u, 1u}) {
+    ASSERT_TRUE(recovered.IsEnabled(attr));
+    const Status s = recovered.pop(attr).ValidateAgainstPlain(
+        plain.column(attr));
+    EXPECT_TRUE(s.ok()) << "attr " << attr << ": " << s.ToString();
+  }
+  EXPECT_EQ(recovered.pop(0).insert_buffer().Size(), 0u);
+  EXPECT_EQ(recovered.pop(1).insert_buffer().order(),
+            (std::vector<TupleId>{242}));
+
+  // FNV-1a of every chain's EncodeTo, recorded by the writing build.
+  uint64_t hash = 1469598103934665603ULL;
+  for (uint8_t b : StateBytes(recovered)) {
+    hash = (hash ^ b) * 1099511628211ULL;
+  }
+  EXPECT_EQ(hash, 0xb4ece23e5e788d95ULL);
+}
+
 }  // namespace
 }  // namespace prkb::core
